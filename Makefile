@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-smoke smoke trace-smoke chaos-smoke serve-smoke soak-smoke ooc-smoke par-smoke compress-smoke pipeline-smoke check clean
+.PHONY: all build test bench bench-smoke smoke trace-smoke chaos-smoke serve-smoke soak-smoke ooc-smoke par-smoke compress-smoke pipeline-smoke perfbench-selftest check clean
 
 all: build
 
@@ -88,7 +88,13 @@ compress-smoke: build
 pipeline-smoke: build
 	scripts/pipeline_smoke.sh
 
-check: build test smoke bench-smoke trace-smoke chaos-smoke serve-smoke soak-smoke ooc-smoke par-smoke compress-smoke pipeline-smoke
+# The repository benchmark's self-test (under a second once built): every
+# checker must catch the wrong answer planted in front of it, and the
+# metric table must match BENCHMARK.json.
+perfbench-selftest: build
+	bash perfbench/run.sh --self-test
+
+check: build test smoke bench-smoke trace-smoke chaos-smoke serve-smoke soak-smoke ooc-smoke par-smoke compress-smoke pipeline-smoke perfbench-selftest
 
 bench: build
 	dune exec bench/main.exe

@@ -263,6 +263,180 @@ let sc_read (sc : scounter) =
   done;
   !total
 
+(* --- scratch tables: per-call maps keyed by node uid --------------- *)
+
+(* A traversal that visits each node of a BDD once, or memoizes a result
+   per node, needs a map keyed by node uid for the length of one call.  A
+   fresh [Hashtbl] per call would allocate a bucket cell per node, most of
+   it promoted to the major heap before the call ends (DESIGN.md §Kernel,
+   "Scratch tables"), so each call leases a scratch table instead:
+
+   - open addressing over one [int array], two ints per slot: the uid,
+     and the stamp and index packed as [stamp lsl 32 lor index]; a slot
+     is occupied when its stamp equals the table's generation, so
+     bumping the generation empties the table in O(1);
+   - an entry's index counts the entries added before it, so payloads
+     live in dense arrays by index, which growth never moves;
+   - a returned table pins no node: keys are ints, and node payloads are
+     overwritten with a sentinel when the lease ends;
+   - each domain pools its returned tables in a lock-free stack, so no
+     table is leased twice at once — not by two domains, not by two
+     systhreads sharing a domain — and a nested traversal leases its
+     own;
+   - a table grown past [scratch_keep_slots] by one huge traversal is
+     dropped rather than pooled, so the pool holds a few MB at most. *)
+
+type scratch = {
+  mutable cells : int array; (* uid, stamp lsl 32 lor index, per slot *)
+  mutable mask : int; (* slots - 1; slots is a power of two *)
+  mutable shift : int; (* 63 - log2 slots: hash bits come from the top *)
+  mutable gen : int; (* stamp of occupied slots, in [1, scratch_max_gen] *)
+  mutable count : int; (* entries *)
+  mutable floats : float array; (* payloads by index, grown on demand *)
+  mutable nodes : t array;
+}
+
+let scratch_nil = { uid = -1; node = Leaf false }
+let scratch_init_bits = 6
+let scratch_keep_slots = 1 lsl 17
+let scratch_pool_max = 8
+let scratch_max_gen = (1 lsl 30) - 1
+let scratch_index_mask = (1 lsl 32) - 1
+
+let scratch_make () =
+  {
+    cells = Array.make (2 lsl scratch_init_bits) 0;
+    mask = (1 lsl scratch_init_bits) - 1;
+    shift = 63 - scratch_init_bits;
+    gen = 0;
+    count = 0;
+    floats = [||];
+    nodes = [||];
+  }
+
+(* Fibonacci hashing: the top bits of the uid times an odd constant. *)
+let[@inline] scratch_home s uid = (uid * 0x1e3779b97f4a7c15) lsr s.shift
+
+(* The slot holding [uid], or [lnot i] for the first free slot [i] of its
+   chain; no allocation. *)
+let rec scratch_probe cells mask gen uid i =
+  if Array.unsafe_get cells ((2 * i) + 1) lsr 32 <> gen then lnot i
+  else if Array.unsafe_get cells (2 * i) = uid then i
+  else scratch_probe cells mask gen uid ((i + 1) land mask)
+
+let scratch_place s i uid k =
+  Array.unsafe_set s.cells (2 * i) uid;
+  Array.unsafe_set s.cells ((2 * i) + 1) ((s.gen lsl 32) lor k)
+
+let[@inline] scratch_index s i =
+  Array.unsafe_get s.cells ((2 * i) + 1) land scratch_index_mask
+
+(* Double at half load. *)
+let scratch_grow s =
+  let old = s.cells in
+  s.cells <- Array.make (2 * Array.length old) 0;
+  s.mask <- (2 * s.mask) + 1;
+  s.shift <- s.shift - 1;
+  for i = 0 to (Array.length old / 2) - 1 do
+    let w = Array.unsafe_get old ((2 * i) + 1) in
+    if w lsr 32 = s.gen then begin
+      let uid = Array.unsafe_get old (2 * i) in
+      let j = scratch_probe s.cells s.mask s.gen uid (scratch_home s uid) in
+      scratch_place s (lnot j) uid (w land scratch_index_mask)
+    end
+  done
+
+(* The index of [f], or -1. *)
+let scratch_find s f =
+  let i = scratch_probe s.cells s.mask s.gen f.uid (scratch_home s f.uid) in
+  if i < 0 then -1 else scratch_index s i
+
+(* The index of [f], adding it if absent. *)
+let scratch_add s f =
+  if 2 * (s.count + 1) > s.mask + 1 then scratch_grow s;
+  let i = scratch_probe s.cells s.mask s.gen f.uid (scratch_home s f.uid) in
+  if i >= 0 then scratch_index s i
+  else begin
+    let k = s.count in
+    scratch_place s (lnot i) f.uid k;
+    s.count <- k + 1;
+    k
+  end
+
+(* Add [f]; true if it was absent. *)
+let scratch_mark s f =
+  let c = s.count in
+  ignore (scratch_add s f);
+  s.count > c
+
+let rec scratch_mark_all s f =
+  match f.node with
+  | Leaf _ -> ()
+  | N { hi; lo; _ } ->
+      if scratch_mark s f then begin
+        scratch_mark_all s hi;
+        scratch_mark_all s lo
+      end
+
+let scratch_extend a k fill =
+  let b = Array.make (max 64 (2 * (k + 1))) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let scratch_node s k = s.nodes.(k)
+
+let scratch_set_node s k n =
+  if k >= Array.length s.nodes then
+    s.nodes <- scratch_extend s.nodes k scratch_nil;
+  s.nodes.(k) <- n
+
+let scratch_float s k = s.floats.(k)
+
+let scratch_set_float s k x =
+  if k >= Array.length s.floats then s.floats <- scratch_extend s.floats k 0.;
+  s.floats.(k) <- x
+
+let scratch_pool : scratch list Atomic.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Atomic.make [])
+
+let rec scratch_take pool =
+  match Atomic.get pool with
+  | [] -> scratch_make ()
+  | s :: rest as l ->
+      if Atomic.compare_and_set pool l rest then s else scratch_take pool
+
+let rec scratch_give pool s =
+  let l = Atomic.get pool in
+  if
+    List.compare_length_with l scratch_pool_max < 0
+    && not (Atomic.compare_and_set pool l (s :: l))
+  then scratch_give pool s
+
+let scratch_release pool s =
+  Array.fill s.nodes 0 (min s.count (Array.length s.nodes)) scratch_nil;
+  if s.mask < scratch_keep_slots then scratch_give pool s
+
+(* Lease an empty table for the length of [fn], returning it on every
+   exit. *)
+let with_scratch fn =
+  let pool = Domain.DLS.get scratch_pool in
+  let s = scratch_take pool in
+  if s.gen = scratch_max_gen then begin
+    (* a billion leases: wipe the stale stamps once *)
+    Array.fill s.cells 0 (Array.length s.cells) 0;
+    s.gen <- 0
+  end;
+  s.gen <- s.gen + 1;
+  s.count <- 0;
+  match fn s with
+  | r ->
+      scratch_release pool s;
+      r
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      scratch_release pool s;
+      Printexc.raise_with_backtrace e bt
+
 type man = {
   ff : t;
   tt : t;
@@ -927,38 +1101,40 @@ let rec leq man f g =
 let cofactor man f ~var b =
   if var < 0 || var >= man.n_vars then invalid_arg "Bdd.cofactor";
   let lv = man.var_level.(var) in
-  let memo = Hashtbl.create 64 in
-  let rec go f =
-    if level man f > lv then f
-    else if level man f = lv then if b then high f else low f
-    else
-      match Hashtbl.find_opt memo f.uid with
-      | Some r -> r
-      | None ->
-          let r = mk_raw man (topvar f) (go (high f)) (go (low f)) in
-          Hashtbl.add memo f.uid r;
-          r
-  in
-  go f
+  with_scratch (fun memo ->
+      let rec go f =
+        if level man f > lv then f
+        else if level man f = lv then if b then high f else low f
+        else
+          let k = scratch_find memo f in
+          if k >= 0 then scratch_node memo k
+          else begin
+            let r = mk_raw man (topvar f) (go (high f)) (go (low f)) in
+            scratch_set_node memo (scratch_add memo f) r;
+            r
+          end
+      in
+      go f)
 
 let vector_compose man f subst =
-  let memo = Hashtbl.create 64 in
-  let rec go f =
-    match f.node with
-    | Leaf _ -> f
-    | N { var; hi; lo } -> (
-        match Hashtbl.find_opt memo f.uid with
-        | Some r -> r
-        | None ->
-            let hi' = go hi and lo' = go lo in
-            let gv =
-              match subst var with Some g -> g | None -> ithvar man var
-            in
-            let r = ite man gv hi' lo' in
-            Hashtbl.add memo f.uid r;
-            r)
-  in
-  go f
+  with_scratch (fun memo ->
+      let rec go f =
+        match f.node with
+        | Leaf _ -> f
+        | N { var; hi; lo } ->
+            let k = scratch_find memo f in
+            if k >= 0 then scratch_node memo k
+            else begin
+              let hi' = go hi and lo' = go lo in
+              let gv =
+                match subst var with Some g -> g | None -> ithvar man var
+              in
+              let r = ite man gv hi' lo' in
+              scratch_set_node memo (scratch_add memo f) r;
+              r
+            end
+      in
+      go f)
 
 let compose man f ~var g =
   vector_compose man f (fun v -> if v = var then Some g else None)
@@ -1112,19 +1288,18 @@ let restrict man f c =
 (* ------------------------------------------------------------------ *)
 
 let iter_nodes fn f =
-  let seen = Hashtbl.create 64 in
-  let rec go f =
-    match f.node with
-    | Leaf _ -> ()
-    | N { hi; lo; _ } ->
-        if not (Hashtbl.mem seen f.uid) then begin
-          Hashtbl.add seen f.uid ();
-          go hi;
-          go lo;
-          fn f
-        end
-  in
-  go f
+  with_scratch (fun seen ->
+      let rec go f =
+        match f.node with
+        | Leaf _ -> ()
+        | N { hi; lo; _ } ->
+            if scratch_mark seen f then begin
+              go hi;
+              go lo;
+              fn f
+            end
+      in
+      go f)
 
 let fold_nodes fn acc f =
   let acc = ref acc in
@@ -1132,24 +1307,13 @@ let fold_nodes fn acc f =
   !acc
 
 let nodes f = List.rev (fold_nodes (fun acc n -> n :: acc) [] f)
-let size f = fold_nodes (fun n _ -> n + 1) 0 f
 
 let shared_size fs =
-  let seen = Hashtbl.create 64 in
-  let count = ref 0 in
-  let rec go f =
-    match f.node with
-    | Leaf _ -> ()
-    | N { hi; lo; _ } ->
-        if not (Hashtbl.mem seen f.uid) then begin
-          Hashtbl.add seen f.uid ();
-          incr count;
-          go hi;
-          go lo
-        end
-  in
-  List.iter go fs;
-  !count
+  with_scratch (fun seen ->
+      List.iter (scratch_mark_all seen) fs;
+      seen.count)
+
+let size f = shared_size [ f ]
 
 let rec weight man f =
   if is_false f then 0.
@@ -1169,27 +1333,30 @@ let density man f ~nvars =
   count_minterms man f ~nvars /. float_of_int (max 1 (size f))
 
 let count_paths _man f =
-  let memo = Hashtbl.create 64 in
-  let rec go f =
-    match f.node with
-    | Leaf _ -> 1.
-    | N { hi; lo; _ } -> (
-        match Hashtbl.find_opt memo f.uid with
-        | Some p -> p
-        | None ->
-            let p = go hi +. go lo in
-            Hashtbl.add memo f.uid p;
-            p)
-  in
-  go f
+  with_scratch (fun memo ->
+      let rec go f =
+        match f.node with
+        | Leaf _ -> 1.
+        | N { hi; lo; _ } ->
+            let k = scratch_find memo f in
+            if k >= 0 then scratch_float memo k
+            else begin
+              let p = go hi +. go lo in
+              scratch_set_float memo (scratch_add memo f) p;
+              p
+            end
+      in
+      go f)
 
 let support man f =
-  let seen = Hashtbl.create 16 in
-  iter_nodes (fun n -> Hashtbl.replace seen (topvar n) ()) f;
-  let vars = Hashtbl.fold (fun v () acc -> v :: acc) seen [] in
-  List.sort
-    (fun a b -> compare (level_of_var man a) (level_of_var man b))
-    vars
+  let seen = Array.make man.n_vars false in
+  iter_nodes (fun n -> seen.(topvar n) <- true) f;
+  (* listed by level *)
+  let vars = ref [] in
+  for l = man.n_vars - 1 downto 0 do
+    if seen.(man.level_var.(l)) then vars := man.level_var.(l) :: !vars
+  done;
+  !vars
 
 let support_cube man f = cube man (support man f)
 
@@ -1266,37 +1433,27 @@ let clear_caches man =
    steps, never mid-operation). *)
 let gc man ~roots =
   fault_point man;
-  let live = Hashtbl.create 1024 in
-  let rec mark f =
-    match f.node with
-    | Leaf _ -> ()
-    | N { hi; lo; _ } ->
-        if not (Hashtbl.mem live f.uid) then begin
-          Hashtbl.add live f.uid ();
-          mark hi;
-          mark lo
-        end
-  in
-  List.iter mark roots;
   let u = man.unique in
   let before = Atomic.get u.u_total in
   let nstripes = Array.length u.u_stripes in
   let survivors = Array.make nstripes [] in
   let counts = Array.make nstripes 0 in
   let total = ref 0 in
-  ut_iter
-    (fun node ->
-      if Hashtbl.mem live node.uid then begin
-        let s =
-          match node.node with
-          | N { var; hi; lo } -> mix3 var hi.uid lo.uid land (nstripes - 1)
-          | Leaf _ -> assert false
-        in
-        survivors.(s) <- node :: survivors.(s);
-        counts.(s) <- counts.(s) + 1;
-        incr total
-      end)
-    u;
+  with_scratch (fun live ->
+      List.iter (scratch_mark_all live) roots;
+      ut_iter
+        (fun node ->
+          if scratch_find live node >= 0 then begin
+            let s =
+              match node.node with
+              | N { var; hi; lo } -> mix3 var hi.uid lo.uid land (nstripes - 1)
+              | Leaf _ -> assert false
+            in
+            survivors.(s) <- node :: survivors.(s);
+            counts.(s) <- counts.(s) + 1;
+            incr total
+          end)
+        u);
   (* rebuild each stripe at a capacity fitted to its survivors (the dead
      nodes' records stay valid but leave the table, exactly as before) *)
   Array.iteri
@@ -1429,20 +1586,21 @@ let reorder man ~order:level_var ~roots =
     man.level_var.(l) <- level_var.(l);
     man.var_level.(level_var.(l)) <- l
   done;
-  let memo = Hashtbl.create 1024 in
-  let rec rebuild f =
-    match f.node with
-    | Leaf _ -> f
-    | N { var; hi; lo } -> (
-        match Hashtbl.find_opt memo f.uid with
-        | Some r -> r
-        | None ->
-            let hi' = rebuild hi and lo' = rebuild lo in
-            let r = ite man (ithvar man var) hi' lo' in
-            Hashtbl.add memo f.uid r;
-            r)
-  in
-  List.map rebuild roots
+  with_scratch (fun memo ->
+      let rec rebuild f =
+        match f.node with
+        | Leaf _ -> f
+        | N { var; hi; lo } ->
+            let k = scratch_find memo f in
+            if k >= 0 then scratch_node memo k
+            else begin
+              let hi' = rebuild hi and lo' = rebuild lo in
+              let r = ite man (ithvar man var) hi' lo' in
+              scratch_set_node memo (scratch_add memo f) r;
+              r
+            end
+      in
+      List.map rebuild roots)
 
 (* ------------------------------------------------------------------ *)
 (* Serialization and cross-manager transfer                           *)
@@ -1460,34 +1618,33 @@ exception Corrupt of string
 let corrupt fmt = Printf.ksprintf (fun s -> raise (Corrupt s)) fmt
 
 let export_list man roots =
-  let index = Hashtbl.create 256 in
-  (* uid -> serialized index *)
-  let idx f =
-    if is_false f then 0
-    else if is_true f then 1
-    else Hashtbl.find index f.uid
-  in
-  let rev_nodes = ref [] and count = ref 0 in
-  let rec go f =
-    match f.node with
-    | Leaf _ -> ()
-    | N { var; hi; lo } ->
-        if not (Hashtbl.mem index f.uid) then begin
-          go hi;
-          go lo;
-          (* children first, so every child index is already assigned *)
-          rev_nodes := (var, idx hi, idx lo) :: !rev_nodes;
-          Hashtbl.add index f.uid (!count + 2);
-          incr count
-        end
-  in
-  List.iter go roots;
-  {
-    s_nvars = man.n_vars;
-    s_order = Array.sub man.level_var 0 man.n_vars;
-    s_nodes = Array.of_list (List.rev !rev_nodes);
-    s_roots = Array.of_list (List.map idx roots);
-  }
+  (* a node's scratch index counts the nodes added before it, so adding
+     children first makes it the serialized index less the constants *)
+  with_scratch (fun index ->
+      let idx f =
+        if is_false f then 0
+        else if is_true f then 1
+        else scratch_find index f + 2
+      in
+      let rev_nodes = ref [] in
+      let rec go f =
+        match f.node with
+        | Leaf _ -> ()
+        | N { var; hi; lo } ->
+            if scratch_find index f < 0 then begin
+              go hi;
+              go lo;
+              rev_nodes := (var, idx hi, idx lo) :: !rev_nodes;
+              ignore (scratch_add index f)
+            end
+      in
+      List.iter go roots;
+      {
+        s_nvars = man.n_vars;
+        s_order = Array.sub man.level_var 0 man.n_vars;
+        s_nodes = Array.of_list (List.rev !rev_nodes);
+        s_roots = Array.of_list (List.map idx roots);
+      })
 
 let export man f = export_list man [ f ]
 
@@ -1826,3 +1983,11 @@ let par_exist_and pool man ~vars f g =
     in
     go 0 vars f g
   end
+
+module Scratch = struct
+  type table = scratch
+
+  let with_table = with_scratch
+  let add = scratch_add
+  let find = scratch_find
+end

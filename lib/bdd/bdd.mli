@@ -280,6 +280,30 @@ val nodes : t -> t list
 
 val fold_nodes : ('a -> t -> 'a) -> 'a -> t -> 'a
 
+(** {2 Scratch tables}
+
+    The per-call map from nodes to small integers that the traversals
+    above run on, for passes outside the kernel that visit or number the
+    nodes of a BDD once per call.  A table is leased from a pool of the
+    calling domain for the length of one {!Scratch.with_table} call and
+    returned on every exit, exceptions included; it holds no reference to
+    a node once returned.  Keys are node uids, which are unique within
+    one manager only, so a table holds the nodes of one manager. *)
+module Scratch : sig
+  type table
+
+  val with_table : (table -> 'a) -> 'a
+  (** [with_table fn] runs [fn] with an empty table.  The table must not
+      be used after [fn] returns.  Nested calls lease distinct tables. *)
+
+  val add : table -> t -> int
+  (** The index of a node, adding it if absent: the number of nodes added
+      before it, so indices run 0, 1, 2, … in order of addition. *)
+
+  val find : table -> t -> int
+  (** The index of a node, or [-1] if it was not added. *)
+end
+
 (** {1 Manager maintenance} *)
 
 val clear_caches : man -> unit

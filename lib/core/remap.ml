@@ -7,261 +7,158 @@ type stats = {
   estimated_minterm_fraction : float;
 }
 
-(* Replacement status of a node (paper 2.1.1).  [Grandchild] keeps the
-   shared grandchild on one side and 0 on the other. *)
+(* Replacement status of a node (paper 2.1.1), over indices of the dense
+   view.  [Grandchild] keeps the shared grandchild on one side and 0 on
+   the other. *)
 type status =
   | Keep
   | Zero
-  | Child of Bdd.t
-  | Grandchild of { var : int; hi : Bdd.t; lo : Bdd.t }
+  | Child of int
+  | Grandchild of { var : int; hi : int; lo : int }
 
 type info = {
-  man : Bdd.man;
-  func_ref : (int, int) Hashtbl.t; (* live arcs into each node, +1 for root *)
-  fnodes : (int, unit) Hashtbl.t; (* nodes of f (plus created grandchildren) *)
-  status : (int, status) Hashtbl.t;
-  dead : (int, unit) Hashtbl.t; (* nodes eliminated by a committed repl. *)
+  m : Marking.t;
+  mutable replaced : (int * status) list; (* committed, latest first *)
   mutable minterms : float; (* running result weight (exact) *)
   mutable size : int; (* running upper bound on |result| *)
 }
 
-let get_ref info n = Option.value ~default:0 (Hashtbl.find_opt info.func_ref (Bdd.id n))
-
-let add_ref info n d =
-  if not (Bdd.is_const n) then
-    Hashtbl.replace info.func_ref (Bdd.id n) (get_ref info n + d)
-
-(* First pass (Fig. 2): minterm weights are delegated to the manager's
-   per-node cache; here we collect reference counts and the node set. *)
-let analyze man f =
-  let info =
-    {
-      man;
-      func_ref = Hashtbl.create 256;
-      fnodes = Hashtbl.create 256;
-      status = Hashtbl.create 64;
-      dead = Hashtbl.create 64;
-      minterms = Bdd.weight man f;
-      size = Bdd.size f;
-    }
-  in
-  Bdd.iter_nodes
-    (fun n ->
-      Hashtbl.replace info.fnodes (Bdd.id n) ();
-      add_ref info (Bdd.high n) 1;
-      add_ref info (Bdd.low n) 1)
-    f;
-  add_ref info f 1;
-  (* the external reference to the root *)
-  info
-
 (* findReplacement: first applicable of remap, replace-by-grandchild,
    replace-by-0. *)
-let find_replacement info n =
-  let man = info.man in
-  let hi = Bdd.high n and lo = Bdd.low n in
-  if Bdd.leq man lo hi then Child lo
-  else if Bdd.leq man hi lo then Child hi
-  else
-    match (Bdd.view hi, Bdd.view lo) with
-    | ( Bdd.Node { var = vh; hi = hh; lo = hl },
-        Bdd.Node { var = vl; hi = lh; lo = ll } )
-      when vh = vl ->
-        if Bdd.equal hh lh && not (Bdd.is_false hh) then
-          Grandchild { var = vh; hi = hh; lo = Bdd.ff man }
-        else if Bdd.equal hl ll && not (Bdd.is_false hl) then
-          Grandchild { var = vh; hi = Bdd.ff man; lo = hl }
-        else Zero
-    | (Bdd.False | Bdd.True | Bdd.Node _), _ -> Zero
+let find_replacement (v : Dense.t) n =
+  let man = v.man in
+  let hi = v.hi.(n) and lo = v.lo.(n) in
+  if Bdd.leq man v.node.(lo) v.node.(hi) then Child lo
+  else if Bdd.leq man v.node.(hi) v.node.(lo) then Child hi
+  else if hi >= 2 && lo >= 2 && v.level.(hi) = v.level.(lo) then
+    let var = Bdd.topvar v.node.(hi) in
+    if v.hi.(hi) = v.hi.(lo) && v.hi.(hi) <> 0 then
+      Grandchild { var; hi = v.hi.(hi); lo = 0 }
+    else if v.lo.(hi) = v.lo.(lo) && v.lo.(hi) <> 0 then
+      Grandchild { var; hi = 0; lo = v.lo.(hi) }
+    else Zero
+  else Zero
 
-let replacement_weight info = function
+let replacement_weight (v : Dense.t) = function
   | Keep -> invalid_arg "replacement_weight"
   | Zero -> 0.
-  | Child c -> Bdd.weight info.man c
+  | Child c -> Bdd.weight v.man v.node.(c)
   | Grandchild { hi; lo; _ } ->
-      0.5 *. (Bdd.weight info.man hi +. Bdd.weight info.man lo)
+      0.5 *. (Bdd.weight v.man v.node.(hi) +. Bdd.weight v.man v.node.(lo))
 
 (* The node the replacement redirects to, which must survive even when all
    of its references come from eliminated nodes. *)
-let protected_id = function
+let protected_index = function
   | Keep | Zero -> -1
-  | Child c -> if Bdd.is_const c then -1 else Bdd.id c
+  | Child c -> if c < 2 then -1 else c
   | Grandchild { hi; lo; _ } ->
-      let g = if Bdd.is_const hi then lo else hi in
-      if Bdd.is_const g then -1 else Bdd.id g
+      let g = if hi < 2 then lo else hi in
+      if g < 2 then -1 else g
 
-(* nodesSaved (Fig. 4): count the nodes dominated by [n], i.e. eliminated
-   when [n]'s incoming arcs are redirected to the replacement.  A node dies
-   when all of its live references come from dying nodes.  Returns the lower
-   bound on the node savings, the eliminated set, and the (possibly new)
-   grandchild node. *)
+let grandchild_node (v : Dense.t) ~var ~hi ~lo =
+  Bdd.mk v.man ~var ~hi:v.node.(hi) ~lo:v.node.(lo)
+
+(* nodesSaved (Fig. 4): the lower bound on the node savings of replacing
+   [n] (its dominated nodes are left in the walk's buffer), and the
+   (possibly new) grandchild node. *)
 let nodes_saved info n repl =
-  let man = info.man in
-  let protect = protected_id repl in
-  let q = Levelq.create man in
-  let local = Hashtbl.create 32 in
-  let eliminated = ref [ n ] in
-  let elim_set = Hashtbl.create 32 in
-  Hashtbl.add elim_set (Bdd.id n) ();
-  let bump c =
-    if not (Bdd.is_const c) then begin
-      let cur = Option.value ~default:0 (Hashtbl.find_opt local (Bdd.id c)) in
-      Hashtbl.replace local (Bdd.id c) (cur + 1);
-      ignore (Levelq.push q c)
-    end
-  in
-  bump (Bdd.high n);
-  bump (Bdd.low n);
-  let rec drain () =
-    match Levelq.pop q with
-    | None -> ()
-    | Some v ->
-        let idv = Bdd.id v in
-        if
-          idv <> protect
-          && (not (Hashtbl.mem info.dead idv))
-          && Hashtbl.find local idv = get_ref info v
-        then begin
-          eliminated := v :: !eliminated;
-          Hashtbl.add elim_set idv ();
-          bump (Bdd.high v);
-          bump (Bdd.low v)
-        end;
-        drain ()
-  in
-  drain ();
+  let m = info.m in
+  let saved = Marking.dominated m ~protect:(protected_index repl) n in
   (* a replace-by-grandchild may add one node that is not part of f *)
-  let nd, extra =
-    match repl with
-    | Grandchild { var; hi; lo } ->
-        let nd = Bdd.mk man ~var ~hi ~lo in
-        let fresh =
-          (not (Hashtbl.mem info.fnodes (Bdd.id nd)))
-          || Hashtbl.mem info.dead (Bdd.id nd)
-          || Hashtbl.mem elim_set (Bdd.id nd)
-        in
-        (Some nd, if fresh then 1 else 0)
-    | Keep | Zero | Child _ -> (None, 0)
-  in
-  (List.length !eliminated - extra, !eliminated, nd)
+  match repl with
+  | Grandchild { var; hi; lo } ->
+      let nd = grandchild_node m.v ~var ~hi ~lo in
+      let j = Dense.index m.v nd in
+      let fresh = j < 0 || m.dead.(j) || Marking.eliminated m j in
+      (saved - if fresh then 1 else 0), Some nd
+  | Keep | Zero | Child _ -> (saved, None)
 
 (* updateInfo: commit an accepted replacement — mark the eliminated nodes
    dead, rewire the reference counts, update the running totals. *)
-let commit info n repl ~lost ~saved ~eliminated ~nd =
-  let nrefs = get_ref info n in
-  List.iter
-    (fun v ->
-      Hashtbl.replace info.dead (Bdd.id v) ();
-      add_ref info (Bdd.high v) (-1);
-      add_ref info (Bdd.low v) (-1))
-    eliminated;
+let commit info n repl ~lost ~saved ~nd =
+  let m = info.m in
+  let nrefs = m.refs.(n) in
+  Marking.kill m;
   (match repl with
   | Keep -> assert false
   | Zero -> ()
-  | Child c -> add_ref info c nrefs
+  | Child c -> Marking.add_ref m c nrefs
   | Grandchild { hi; lo; _ } ->
-      let nd = Option.get nd in
-      let alive =
-        Hashtbl.mem info.fnodes (Bdd.id nd)
-        && not (Hashtbl.mem info.dead (Bdd.id nd))
-      in
-      if alive then add_ref info nd nrefs
+      let j = Dense.index m.v (Option.get nd) in
+      if j >= 0 && not m.dead.(j) then Marking.add_ref m j nrefs
       else begin
         (* fresh (or resurrected) node: it contributes its own arcs *)
-        Hashtbl.replace info.fnodes (Bdd.id nd) ();
-        Hashtbl.remove info.dead (Bdd.id nd);
-        Hashtbl.replace info.func_ref (Bdd.id nd) nrefs;
-        add_ref info hi 1;
-        add_ref info lo 1
+        let j = if j < 0 then Marking.append m (Option.get nd) else j in
+        m.dead.(j) <- false;
+        m.refs.(j) <- nrefs;
+        Marking.add_ref m hi 1;
+        Marking.add_ref m lo 1
       end);
-  Hashtbl.replace info.status (Bdd.id n) repl;
+  info.replaced <- (n, repl) :: info.replaced;
   info.minterms <- info.minterms -. lost;
   info.size <- info.size - saved
 
 (* Second pass (Fig. 3). *)
-let mark_nodes info f ~threshold ~quality =
-  let man = info.man in
-  let q = Levelq.create man in
-  let pathw = Hashtbl.create 256 in
-  let add_path c w =
-    if not (Bdd.is_const c) then begin
-      let cur =
-        Option.value ~default:0. (Hashtbl.find_opt pathw (Bdd.id c))
-      in
-      Hashtbl.replace pathw (Bdd.id c) (cur +. w);
-      ignore (Levelq.push q c)
-    end
-  in
-  add_path f 1.0;
+let mark_nodes info ~threshold ~quality =
+  let m = info.m in
+  let v = m.v in
+  let man = v.man in
+  Marking.add_path m v.root 1.0;
   let rec loop () =
     if info.size <= threshold then ()
     else
-      match Levelq.pop q with
-      | None -> ()
-      | Some n ->
-          (* every enqueued node is a child of a live kept node or the
-             target of a redirect, and neither can be eliminated later *)
-          assert (not (Hashtbl.mem info.dead (Bdd.id n)));
-          let p = Hashtbl.find pathw (Bdd.id n) in
-          let repl = find_replacement info n in
-          let lost = p *. (Bdd.weight man n -. replacement_weight info repl) in
-          let saved, eliminated, nd = nodes_saved info n repl in
-          let w = info.minterms and s = float_of_int info.size in
-          let w' = w -. lost and s' = float_of_int (info.size - saved) in
-          let ratio =
-            if s' < 1. || w <= 0. then neg_infinity
-            else w' /. s' /. (w /. s)
-          in
-          if ratio > quality then begin
-            commit info n repl ~lost ~saved ~eliminated ~nd;
-            (* paths into [n] now flow into the replacement: enqueue it
-               with the full weight (the paper's enqueueChildren with the
-               replacement) so that its own processing sees correct path
-               fractions even when it is an existing node of f *)
-            match repl with
-            | Keep -> assert false
-            | Zero -> ()
-            | Child c -> add_path c p
-            | Grandchild _ -> add_path (Option.get nd) p
-          end
-          else begin
-            add_path (Bdd.high n) (p /. 2.);
-            add_path (Bdd.low n) (p /. 2.)
-          end;
-          loop ()
+      let n = Dense.pop m.queue in
+      if n >= 0 then begin
+        (* every enqueued node is a child of a live kept node or the
+           target of a redirect, and neither can be eliminated later *)
+        assert (not m.dead.(n));
+        let p = m.pathw.(n) in
+        let repl = find_replacement v n in
+        let lost =
+          p *. (Bdd.weight man v.node.(n) -. replacement_weight v repl)
+        in
+        let saved, nd = nodes_saved info n repl in
+        let w = info.minterms and s = float_of_int info.size in
+        let w' = w -. lost and s' = float_of_int (info.size - saved) in
+        let ratio =
+          if s' < 1. || w <= 0. then neg_infinity else w' /. s' /. (w /. s)
+        in
+        if ratio > quality then begin
+          commit info n repl ~lost ~saved ~nd;
+          (* paths into [n] now flow into the replacement: enqueue it
+             with the full weight (the paper's enqueueChildren with the
+             replacement) so that its own processing sees correct path
+             fractions even when it is an existing node of f *)
+          match repl with
+          | Keep -> assert false
+          | Zero -> ()
+          | Child c -> Marking.add_path m c p
+          | Grandchild _ -> Marking.add_path m (Dense.index v (Option.get nd)) p
+        end
+        else begin
+          Marking.add_path m v.hi.(n) (p /. 2.);
+          Marking.add_path m v.lo.(n) (p /. 2.)
+        end;
+        loop ()
+      end
   in
   loop ()
 
 (* Third pass: rebuild applying the recorded statuses. *)
-let build_result info f =
-  let man = info.man in
-  let memo = Hashtbl.create 256 in
-  let rec build n =
-    if Bdd.is_const n then n
-    else
-      match Hashtbl.find_opt memo (Bdd.id n) with
-      | Some r -> r
-      | None ->
-          let r =
-            match
-              Option.value ~default:Keep
-                (Hashtbl.find_opt info.status (Bdd.id n))
-            with
-            | Zero -> Bdd.ff man
-            | Child c -> build c
-            | Grandchild { var; hi; lo } ->
-                (* the replacement node may itself carry a replacement
-                   status (it was enqueued by markNodes), so route the
-                   rebuild through it rather than constructing directly *)
-                build (Bdd.mk man ~var ~hi ~lo)
-            | Keep ->
-                Bdd.mk man ~var:(Bdd.topvar n) ~hi:(build (Bdd.high n))
-                  ~lo:(build (Bdd.low n))
-          in
-          Hashtbl.add memo (Bdd.id n) r;
-          r
-  in
-  build f
+let build_result info =
+  let v = info.m.v in
+  let status = Array.make v.count Keep in
+  List.iter (fun (i, s) -> status.(i) <- s) info.replaced;
+  Dense.rebuild v ~redirect:(fun i ->
+      match status.(i) with
+      | Keep -> -1
+      | Zero -> 0
+      | Child c -> c
+      | Grandchild { var; hi; lo } ->
+          (* the replacement node may itself carry a replacement status
+             (it was enqueued by markNodes), so route the rebuild through
+             it rather than constructing directly *)
+          Dense.index v (grandchild_node v ~var ~hi ~lo))
 
 let approximate_with_stats man ?(threshold = 0) ?(quality = 1.0) f =
   if Bdd.is_const f then
@@ -274,25 +171,30 @@ let approximate_with_stats man ?(threshold = 0) ?(quality = 1.0) f =
         estimated_size = 0;
         estimated_minterm_fraction = Bdd.weight man f;
       } )
-  else begin
-    let info = analyze man f in
-    mark_nodes info f ~threshold ~quality;
-    let result = build_result info f in
-    let count pred =
-      Hashtbl.fold (fun _ s acc -> if pred s then acc + 1 else acc) info.status 0
-    in
-    let stats =
-      {
-        replacements = count (fun s -> s <> Keep);
-        remaps = count (function Child _ -> true | _ -> false);
-        grandchild = count (function Grandchild _ -> true | _ -> false);
-        zeroes = count (function Zero -> true | _ -> false);
-        estimated_size = info.size;
-        estimated_minterm_fraction = info.minterms;
-      }
-    in
-    (result, stats)
-  end
+  else
+    Dense.with_view man f (fun v ->
+        (* first pass (Fig. 2): minterm weights are delegated to the
+           manager's per-node cache; the view holds the reference counts *)
+        let minterms = Bdd.weight man f in
+        let info =
+          { m = Marking.create v; replaced = []; minterms; size = v.count - 2 }
+        in
+        mark_nodes info ~threshold ~quality;
+        let result = build_result info in
+        let count pred =
+          List.length (List.filter (fun (_, s) -> pred s) info.replaced)
+        in
+        let stats =
+          {
+            replacements = List.length info.replaced;
+            remaps = count (function Child _ -> true | _ -> false);
+            grandchild = count (function Grandchild _ -> true | _ -> false);
+            zeroes = count (function Zero -> true | _ -> false);
+            estimated_size = info.size;
+            estimated_minterm_fraction = info.minterms;
+          }
+        in
+        (result, stats))
 
 let approximate man ?threshold ?quality f =
   fst (approximate_with_stats man ?threshold ?quality f)

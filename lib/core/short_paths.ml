@@ -3,79 +3,40 @@
    Short paths to the constant 1 correspond to large implicants represented
    with few nodes.  The first pass labels every node with the length of the
    shortest root-to-1 path through it; the second keeps the nodes whose
-   label does not exceed a bound chosen so that at most [threshold] nodes
-   survive, redirecting arcs into discarded nodes to the constant 0. *)
+   label does not exceed the [threshold]-th smallest label, redirecting
+   arcs into discarded nodes to the constant 0.  Ties at the bound all
+   stay, so the threshold is a soft limit (see the mli). *)
 
 let infinity_len = max_int / 4
 
 let approximate man ~threshold f =
-  if Bdd.is_const f || Bdd.size f <= threshold then f
-  else begin
-    let all = Bdd.nodes f in
-    (* children-first list; reverse for a parents-first sweep *)
-    let parents_first = List.rev all in
-    let dist_root = Hashtbl.create 256 in
-    let dist_one = Hashtbl.create 256 in
-    let get tbl n default =
-      Option.value ~default (Hashtbl.find_opt tbl (Bdd.id n))
-    in
-    Hashtbl.replace dist_root (Bdd.id f) 0;
-    List.iter
-      (fun n ->
-        let d = get dist_root n infinity_len in
-        let relax c =
-          if not (Bdd.is_const c) then begin
-            let cur = get dist_root c infinity_len in
-            if d + 1 < cur then Hashtbl.replace dist_root (Bdd.id c) (d + 1)
-          end
-        in
-        relax (Bdd.high n);
-        relax (Bdd.low n))
-      parents_first;
-    let dist_to_one n =
-      match Bdd.view n with
-      | Bdd.True -> 0
-      | Bdd.False -> infinity_len
-      | Bdd.Node _ -> get dist_one n infinity_len
-    in
-    List.iter
-      (fun n ->
-        let d =
-          1 + min (dist_to_one (Bdd.high n)) (dist_to_one (Bdd.low n))
-        in
-        Hashtbl.replace dist_one (Bdd.id n) d)
-      all;
-    let splen n = get dist_root n infinity_len + dist_to_one n in
-    (* choose the largest bound keeping at most [threshold] nodes *)
-    let lens = List.map splen all in
-    let sorted = List.sort compare lens in
-    let shortest = match sorted with [] -> 0 | l :: _ -> l in
-    let bound =
-      let rec pick best count = function
-        | [] -> best
-        | l :: rest ->
-            if count + 1 > threshold then best
-            else pick (max best l) (count + 1) rest
-      in
-      max (pick (-1) 0 sorted) shortest
-      (* always keep at least the shortest paths, even if they overshoot
-         the threshold (CUDD applies a hard limit instead; see mli) *)
-    in
-    let keep n = splen n <= bound in
-    let memo = Hashtbl.create 256 in
-    let rec rebuild n =
-      if Bdd.is_const n then n
-      else if not (keep n) then Bdd.ff man
-      else
-        match Hashtbl.find_opt memo (Bdd.id n) with
-        | Some r -> r
-        | None ->
-            let r =
-              Bdd.mk man ~var:(Bdd.topvar n) ~hi:(rebuild (Bdd.high n))
-                ~lo:(rebuild (Bdd.low n))
+  if Bdd.is_const f then f
+  else
+    Dense.with_view man f (fun v ->
+        let n = v.count in
+        if n - 2 <= threshold then f
+        else begin
+          (* indices run children first; downwards is parents first *)
+          let dist_root = Array.make n infinity_len in
+          dist_root.(v.root) <- 0;
+          for i = n - 1 downto 2 do
+            let d = dist_root.(i) + 1 in
+            let relax c =
+              if c >= 2 && d < dist_root.(c) then dist_root.(c) <- d
             in
-            Hashtbl.add memo (Bdd.id n) r;
-            r
-    in
-    rebuild f
-  end
+            relax v.hi.(i);
+            relax v.lo.(i)
+          done;
+          let dist_one = Array.make n infinity_len in
+          dist_one.(1) <- 0;
+          for i = 2 to n - 1 do
+            dist_one.(i) <- 1 + min dist_one.(v.hi.(i)) dist_one.(v.lo.(i))
+          done;
+          let splen i = dist_root.(i) + dist_one.(i) in
+          (* the [threshold]-th shortest label, or the shortest *)
+          let sorted = Array.init (n - 2) (fun k -> splen (k + 2)) in
+          Array.sort compare sorted;
+          let bound = sorted.(max 0 (min threshold (n - 2) - 1)) in
+          Dense.rebuild v ~redirect:(fun i ->
+              if splen i <= bound then -1 else 0)
+        end)

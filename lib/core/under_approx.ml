@@ -16,114 +16,36 @@ let default = { threshold = 0; weight = 0.5 }
 
 let approximate man ?(params = default) f =
   if Bdd.is_const f then f
-  else begin
-    let size0 = float_of_int (Bdd.size f) in
-    let weight0 = Bdd.weight man f in
-    let func_ref = Hashtbl.create 256 in
-    let dead = Hashtbl.create 64 in
-    let zeroed = Hashtbl.create 64 in
-    let get_ref n =
-      Option.value ~default:0 (Hashtbl.find_opt func_ref (Bdd.id n))
-    in
-    let add_ref n d =
-      if not (Bdd.is_const n) then
-        Hashtbl.replace func_ref (Bdd.id n) (get_ref n + d)
-    in
-    Bdd.iter_nodes
-      (fun n ->
-        add_ref (Bdd.high n) 1;
-        add_ref (Bdd.low n) 1)
-      f;
-    add_ref f 1;
-    let est_size = ref (Bdd.size f) in
-    (* dominated-node count for replace-by-0, as in RUA's nodesSaved *)
-    let saved_by n =
-      let q = Levelq.create man in
-      let local = Hashtbl.create 32 in
-      let out = ref [ n ] in
-      let bump c =
-        if not (Bdd.is_const c) then begin
-          let cur =
-            Option.value ~default:0 (Hashtbl.find_opt local (Bdd.id c))
-          in
-          Hashtbl.replace local (Bdd.id c) (cur + 1);
-          ignore (Levelq.push q c)
-        end
-      in
-      bump (Bdd.high n);
-      bump (Bdd.low n);
-      let rec drain () =
-        match Levelq.pop q with
-        | None -> ()
-        | Some v ->
-            if
-              (not (Hashtbl.mem dead (Bdd.id v)))
-              && Hashtbl.find local (Bdd.id v) = get_ref v
-            then begin
-              out := v :: !out;
-              bump (Bdd.high v);
-              bump (Bdd.low v)
-            end;
-            drain ()
-      in
-      drain ();
-      !out
-    in
-    let q = Levelq.create man in
-    let pathw = Hashtbl.create 256 in
-    let add_path c w =
-      if not (Bdd.is_const c) then begin
-        let cur =
-          Option.value ~default:0. (Hashtbl.find_opt pathw (Bdd.id c))
-        in
-        Hashtbl.replace pathw (Bdd.id c) (cur +. w);
-        ignore (Levelq.push q c)
-      end
-    in
-    add_path f 1.0;
-    let rec loop () =
-      if !est_size <= params.threshold then ()
-      else
-        match Levelq.pop q with
-        | None -> ()
-        | Some n ->
-            let p = Hashtbl.find pathw (Bdd.id n) in
-            let eliminated = saved_by n in
-            let saved = List.length eliminated in
-            let lost = p *. Bdd.weight man n in
-            let gain = params.weight *. (float_of_int saved /. size0) in
-            let pain = (1. -. params.weight) *. (lost /. weight0) in
-            if gain > pain then begin
-              Hashtbl.replace zeroed (Bdd.id n) ();
-              List.iter
-                (fun v ->
-                  Hashtbl.replace dead (Bdd.id v) ();
-                  add_ref (Bdd.high v) (-1);
-                  add_ref (Bdd.low v) (-1))
-                eliminated;
-              est_size := !est_size - saved
+  else
+    Dense.with_view man f (fun v ->
+        let size0 = float_of_int (v.count - 2) in
+        let weight0 = Bdd.weight man f in
+        let m = Marking.create v in
+        let zeroed = Array.make v.count false in
+        let est_size = ref (v.count - 2) in
+        Marking.add_path m v.root 1.0;
+        let rec loop () =
+          if !est_size <= params.threshold then ()
+          else
+            let n = Dense.pop m.queue in
+            if n >= 0 then begin
+              let p = m.pathw.(n) in
+              (* the dominated-node count for replace-by-0, as in RUA *)
+              let saved = Marking.dominated m ~protect:(-1) n in
+              let lost = p *. Bdd.weight man v.node.(n) in
+              let gain = params.weight *. (float_of_int saved /. size0) in
+              let pain = (1. -. params.weight) *. (lost /. weight0) in
+              if gain > pain then begin
+                zeroed.(n) <- true;
+                Marking.kill m;
+                est_size := !est_size - saved
+              end
+              else begin
+                Marking.add_path m v.hi.(n) (p /. 2.);
+                Marking.add_path m v.lo.(n) (p /. 2.)
+              end;
+              loop ()
             end
-            else begin
-              add_path (Bdd.high n) (p /. 2.);
-              add_path (Bdd.low n) (p /. 2.)
-            end;
-            loop ()
-    in
-    loop ();
-    let memo = Hashtbl.create 256 in
-    let rec rebuild n =
-      if Bdd.is_const n then n
-      else if Hashtbl.mem zeroed (Bdd.id n) then Bdd.ff man
-      else
-        match Hashtbl.find_opt memo (Bdd.id n) with
-        | Some r -> r
-        | None ->
-            let r =
-              Bdd.mk man ~var:(Bdd.topvar n) ~hi:(rebuild (Bdd.high n))
-                ~lo:(rebuild (Bdd.low n))
-            in
-            Hashtbl.add memo (Bdd.id n) r;
-            r
-    in
-    rebuild f
-  end
+        in
+        loop ();
+        Dense.rebuild v ~redirect:(fun i -> if zeroed.(i) then 0 else -1))

@@ -71,6 +71,21 @@ let test_sp_keeps_shortest_implicant () =
   let r = Short_paths.approximate man ~threshold:1 f in
   Alcotest.(check bool) "keeps x0" true (Bdd.equal r x0)
 
+let test_sp_threshold_is_soft () =
+  (* f = x0·x1 + x2·x3·x4: the shortest root-to-1 paths through its five
+     nodes have lengths 2, 2, 4, 4, 4.  At threshold 3 the bound is the
+     third-shortest length, 4, and every node of that length stays: the
+     result is f itself, 5 nodes, although bound 2 would keep 2. *)
+  let man = Bdd.create ~nvars:5 () in
+  let v = Bdd.ithvar man in
+  let x01 = Bdd.band man (v 0) (v 1) in
+  let f = Bdd.bor man x01 (Bdd.conj man [ v 2; v 3; v 4 ]) in
+  Alcotest.(check int) "|f|" 5 (Bdd.size f);
+  Alcotest.(check bool) "threshold 3 keeps the tie at length 4" true
+    (Bdd.equal f (Short_paths.approximate man ~threshold:3 f));
+  Alcotest.(check bool) "threshold 2 keeps the two nodes of length 2" true
+    (Bdd.equal x01 (Short_paths.approximate man ~threshold:2 f))
+
 let test_minimize_interval () =
   let man = Bdd.create ~nvars:4 () in
   let l = Bdd.band man (Bdd.ithvar man 0) (Bdd.ithvar man 1) in
@@ -283,4 +298,6 @@ let tests =
       prop_rua_after_reorder;
       prop_minimize_safe;
       prop_restrict_interval_member;
+      Alcotest.test_case "SP threshold is soft" `Quick
+        test_sp_threshold_is_soft;
     ] )

@@ -301,6 +301,140 @@ let test_table_full ~shared () =
   Bdd.set_table_capacity man None;
   Alcotest.(check bool) "construction completes unbounded" true (build () > 1000)
 
+(* ------------------------------------------------------------------ *)
+(* Scratch-table leases                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* Traversals lease a scratch table from a per-domain pool for the length
+   of one call.  A lease must come back on every exit, must never be
+   shared by two calls at once, and a returned table must pin no node. *)
+
+let digest man f = Bdd.serialized_digest (Bdd.export man f)
+
+(* The multiplier's middle product bits: BDDs of 30-170 nodes that
+   cofactor and RUA rebuild into nodes f does not have. *)
+let lease_circuit () = Generate.multiplier ~bits:5
+
+let lease_functions man =
+  let c = Compile.compile ~man (lease_circuit ()) in
+  List.filter (fun f -> Bdd.size f >= 30) (List.map snd c.Compile.output_fns)
+
+(* Every answer the lease properties compare: sizes, both cofactors on
+   every variable, and RUA, as digests. *)
+let lease_answers man fs =
+  List.concat_map
+    (fun f ->
+      string_of_int (Bdd.size f)
+      :: digest man (Remap.approximate man f)
+      :: List.concat_map
+           (fun v ->
+             [
+               digest man (Bdd.cofactor man f ~var:v true);
+               digest man (Bdd.cofactor man f ~var:v false);
+             ])
+           (Bdd.support man f))
+    fs
+
+let sequential_answers () =
+  let man = Bdd.create () in
+  lease_answers man (lease_functions man)
+
+let test_lease_nested () =
+  let man = Bdd.create () in
+  let fs = lease_functions man in
+  List.iter
+    (fun f ->
+      (* sizes and cofactors taken inside another traversal's callback
+         agree with the same calls made outside any traversal *)
+      let outside =
+        List.map (fun n -> (Bdd.size n, Bdd.nodes n)) (Bdd.nodes f)
+      in
+      let var = Bdd.topvar f in
+      let cof = Bdd.cofactor man f ~var true in
+      let inside = ref [] and visited = ref 0 in
+      Bdd.iter_nodes
+        (fun n ->
+          incr visited;
+          Alcotest.(check bool) "nested cofactor" true
+            (Bdd.equal cof (Bdd.cofactor man f ~var true));
+          inside := (Bdd.size n, Bdd.nodes n) :: !inside)
+        f;
+      Alcotest.(check int) "outer traversal visits every node once"
+        (Bdd.size f) !visited;
+      Alcotest.(check bool) "nested sizes and node lists" true
+        (List.for_all2
+           (fun (s, ns) (s', ns') -> s = s' && List.for_all2 Bdd.equal ns ns')
+           outside (List.rev !inside)))
+    fs
+
+let test_lease_node_limit () =
+  let expected = sequential_answers () in
+  let man = Bdd.create () in
+  let fs = lease_functions man in
+  ignore (Bdd.gc man ~roots:fs);
+  (* no node may be made: the first one a call needs raises *)
+  let raises fn =
+    Bdd.set_node_limit man (Some (Bdd.unique_size man));
+    let r = match fn () with _ -> false | exception Bdd.Node_limit -> true in
+    Bdd.set_node_limit man None;
+    r
+  in
+  let count p = List.length (List.filter p fs) in
+  Alcotest.(check bool) "Node_limit raised inside RUA" true
+    (count (fun f -> raises (fun () -> Remap.approximate man f)) > 0);
+  Alcotest.(check bool) "Node_limit raised inside cofactor" true
+    (count (fun f ->
+         List.exists
+           (fun var -> raises (fun () -> Bdd.cofactor man f ~var true))
+           (Bdd.support man f))
+    > 0);
+  Alcotest.(check (list string)) "the same calls after the limit" expected
+    (lease_answers man fs)
+
+let test_lease_domains () =
+  let expected = sequential_answers () in
+  List.iter
+    (fun domains ->
+      let man = Bdd.create ~shared:true () in
+      let fs = lease_functions man in
+      let got =
+        List.init domains (fun _ ->
+            Domain.spawn (fun () -> lease_answers man fs))
+        |> List.map Domain.join
+      in
+      List.iter
+        (Alcotest.(check (list string))
+           (Printf.sprintf "%d domains agree with a sequential run" domains)
+           expected)
+        got)
+    (match List.filter (fun d -> d >= 2) Test_par.domain_counts with
+    | [] -> [ 2 ]
+    | ds -> ds)
+
+(* [f]'s cofactor, held only through a weak pointer *)
+let[@inline never] weak_cofactor man f ~var =
+  let w = Weak.create 1 in
+  let r = Bdd.cofactor man f ~var true in
+  Weak.set w 0 (Some r);
+  w
+
+let test_lease_pins_nothing () =
+  let man = Bdd.create () in
+  let f =
+    List.find
+      (fun f -> Bdd.size f >= 100)
+      (lease_functions man)
+  in
+  ignore (Bdd.gc man ~roots:[ f ]);
+  let before = Bdd.unique_size man in
+  let w = weak_cofactor man f ~var:(Bdd.topvar (Bdd.low f)) in
+  Alcotest.(check bool) "the cofactor made nodes" true
+    (Bdd.unique_size man > before);
+  ignore (Bdd.gc man ~roots:[ f ]);
+  Gc.full_major ();
+  Alcotest.(check bool) "collected once nothing but the memo reached it" true
+    (Weak.get w 0 = None)
+
 let tests =
   ( "kernel",
     [
@@ -324,4 +458,11 @@ let tests =
       prop_restrict_tiny;
       prop_leq_tiny;
       prop_weight_tiny;
+      Alcotest.test_case "lease: nested traversals" `Quick test_lease_nested;
+      Alcotest.test_case "lease: Node_limit returns it" `Quick
+        test_lease_node_limit;
+      Alcotest.test_case "lease: domains on a shared manager" `Quick
+        test_lease_domains;
+      Alcotest.test_case "lease: returned table pins no node" `Quick
+        test_lease_pins_nothing;
     ] )
