@@ -25,8 +25,19 @@ val verify_disj : Bdd.man -> Bdd.t -> pair -> bool
 (** Check [g ∨ h = f]. *)
 
 val best_split_var : Bdd.man -> Bdd.t -> int
-(** The support variable minimizing [max(|f_x|, |f_x'|)].
+(** The support variable of least cost: the smaller larger cofactor
+    [max(|f_x|, |f_x'|)], then the smaller sum [|f_x| + |f_x'|], then the
+    first in level order.  The cofactor sizes are counted on [f]'s nodes
+    without building the cofactors, so the search makes no node: under a
+    node limit or a deadline tick (serve's per-request limits), neither
+    fires during the search, only while a caller builds the pair.
     @raise Invalid_argument on constants. *)
+
+val cofactor_size :
+  ?limit:int -> Bdd.man -> Bdd.t -> var:int -> bool -> int option
+(** [cofactor_size man f ~var b] is [Some (Bdd.size (Bdd.cofactor man f
+    ~var b))], counted as {!best_split_var} counts it, without making a
+    node; [None] once the count passes [limit] (default: no limit). *)
 
 val conj_cofactor_at : Bdd.man -> Bdd.t -> int -> pair
 (** Equation (1) at a given variable. *)

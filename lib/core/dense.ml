@@ -83,6 +83,28 @@ let with_view man f k =
       v.root <- go f;
       k v)
 
+(* The nodes grouped by level, for passes that sweep f one level at a time:
+   [(order, first)] lists the nodes at level [l] in index order as
+   [order.(first.(l))] to [order.(first.(l + 1) - 1)]. *)
+let by_level v =
+  let levels = max 1 (Bdd.nvars v.man) in
+  let first = Array.make (levels + 1) 0 in
+  for i = 2 to v.count - 1 do
+    let l = v.level.(i) in
+    first.(l + 1) <- first.(l + 1) + 1
+  done;
+  for l = 1 to levels do
+    first.(l) <- first.(l) + first.(l - 1)
+  done;
+  let order = Array.make (v.count - 2) 0 in
+  let next = Array.sub first 0 levels in
+  for i = 2 to v.count - 1 do
+    let l = v.level.(i) in
+    order.(next.(l)) <- i;
+    next.(l) <- next.(l) + 1
+  done;
+  (order, first)
+
 (* Rebuild from the root down, memoized per index: [redirect i] is -1 to
    keep node [i] with its children rebuilt, or the index whose rebuild
    replaces it (0 for the constant 0). *)

@@ -140,6 +140,84 @@ let prop_balance_bounds =
          <= Bdd.size p.Decomp.g + Bdd.size p.Decomp.h
       && Decomp.max_size p <= Decomp.shared_size p)
 
+(* ------------------------------------------------------------------ *)
+(* The split search: cofactor sizes counted without building them     *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference search: both cofactors of f built for every support
+   variable, only to be sized, with the cost (max s1 s0, s1 + s0) folded
+   in level order under a strict [<]. *)
+let reference_split_var man f =
+  match Bdd.support man f with
+  | [] -> invalid_arg "reference_split_var: constant"
+  | sup ->
+      let cost v =
+        let s1 = Bdd.size (Bdd.cofactor man f ~var:v true)
+        and s0 = Bdd.size (Bdd.cofactor man f ~var:v false) in
+        (max s1 s0, s1 + s0)
+      in
+      let best, _ =
+        List.fold_left
+          (fun (bv, bc) v ->
+            let c = cost v in
+            if c < bc then (v, c) else (bv, bc))
+          (List.hd sup, cost (List.hd sup))
+          (List.tl sup)
+      in
+      best
+
+(* On every variable of [vars] and both phases, the counted size is the
+   built cofactor's, and a limit one below it reports "over". *)
+let counted_sizes_exact man f vars =
+  List.for_all
+    (fun var ->
+      List.for_all
+        (fun b ->
+          let n = Bdd.size (Bdd.cofactor man f ~var b) in
+          Decomp.cofactor_size man f ~var b = Some n
+          && Decomp.cofactor_size ~limit:n man f ~var b = Some n
+          && Decomp.cofactor_size ~limit:(n - 1) man f ~var b = None)
+        [ true; false ])
+    vars
+
+(* a random function under a random variable order *)
+let arb_ordered = QCheck.(pair arb (make (Tgen.permutation_gen nvars)))
+
+let ordered (e, order) =
+  let man, f, _ = Tgen.setup ~nvars e in
+  match Bdd.reorder man ~order ~roots:[ f ] with
+  | [ f ] -> (man, f)
+  | _ -> assert false
+
+let prop_cofactor_size =
+  qtest "counted cofactor size = |cofactor|, over one below it" arb_ordered
+    (fun eo ->
+      let man, f = ordered eo in
+      counted_sizes_exact man f (List.init nvars Fun.id))
+
+let prop_split_var_reference =
+  qtest "best_split_var = the build-both-cofactors search" arb_ordered
+    (fun eo ->
+      let man, f = ordered eo in
+      QCheck.assume (not (Bdd.is_const f));
+      Decomp.best_split_var man f = reference_split_var man f)
+
+let test_split_golden_pool () =
+  List.iter
+    (fun (c, min_nodes) ->
+      List.iter
+        (fun { Pool.man; f; label; _ } ->
+          Alcotest.(check bool)
+            (label ^ ": counted sizes exact")
+            true
+            (counted_sizes_exact man f (Bdd.support man f));
+          Alcotest.(check int)
+            (label ^ ": the reference's variable")
+            (reference_split_var man f)
+            (Decomp.best_split_var man f))
+        (Pool.entries_of_circuit ~min_nodes c))
+    (Test_golden.circuits ())
+
 let tests =
   ( "decomp",
     [
@@ -160,4 +238,8 @@ let tests =
       prop_disj_band;
       prop_disj_disjoint;
       prop_balance_bounds;
+      prop_cofactor_size;
+      prop_split_var_reference;
+      Alcotest.test_case "split search on the golden pool" `Quick
+        test_split_golden_pool;
     ] )

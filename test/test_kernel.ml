@@ -319,12 +319,13 @@ let lease_functions man =
   let c = Compile.compile ~man (lease_circuit ()) in
   List.filter (fun f -> Bdd.size f >= 30) (List.map snd c.Compile.output_fns)
 
-(* Every answer the lease properties compare: sizes, both cofactors on
-   every variable, and RUA, as digests. *)
+(* Every answer the lease properties compare: sizes, the Cofactor split
+   variable, both cofactors on every variable, and RUA, as digests. *)
 let lease_answers man fs =
   List.concat_map
     (fun f ->
       string_of_int (Bdd.size f)
+      :: string_of_int (Decomp.best_split_var man f)
       :: digest man (Remap.approximate man f)
       :: List.concat_map
            (fun v ->
@@ -351,12 +352,15 @@ let test_lease_nested () =
       in
       let var = Bdd.topvar f in
       let cof = Bdd.cofactor man f ~var true in
+      let split = Decomp.best_split_var man f in
       let inside = ref [] and visited = ref 0 in
       Bdd.iter_nodes
         (fun n ->
           incr visited;
           Alcotest.(check bool) "nested cofactor" true
             (Bdd.equal cof (Bdd.cofactor man f ~var true));
+          Alcotest.(check int) "nested split search" split
+            (Decomp.best_split_var man f);
           inside := (Bdd.size n, Bdd.nodes n) :: !inside)
         f;
       Alcotest.(check int) "outer traversal visits every node once"
@@ -410,6 +414,21 @@ let test_lease_domains () =
     (match List.filter (fun d -> d >= 2) Test_par.domain_counts with
     | [] -> [ 2 ]
     | ds -> ds)
+
+(* The Cofactor split search sizes cofactors without building them: it
+   returns under a node limit that forbids any new node and leaves the
+   unique table as it found it. *)
+let test_split_search_makes_no_node () =
+  let man = Bdd.create () in
+  let fs = lease_functions man in
+  let expected = List.map (Decomp.best_split_var man) fs in
+  ignore (Bdd.gc man ~roots:fs);
+  let before = Bdd.unique_size man in
+  Bdd.set_node_limit man (Some before);
+  let got = List.map (Decomp.best_split_var man) fs in
+  Bdd.set_node_limit man None;
+  Alcotest.(check (list int)) "same variables under the limit" expected got;
+  Alcotest.(check int) "unique_size unchanged" before (Bdd.unique_size man)
 
 (* [f]'s cofactor, held only through a weak pointer *)
 let[@inline never] weak_cofactor man f ~var =
@@ -465,4 +484,6 @@ let tests =
         test_lease_domains;
       Alcotest.test_case "lease: returned table pins no node" `Quick
         test_lease_pins_nothing;
+      Alcotest.test_case "lease: split search makes no node" `Quick
+        test_split_search_makes_no_node;
     ] )
