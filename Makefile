@@ -14,10 +14,13 @@ smoke: build
 	dune exec bench/main.exe -- --smoke --jobs 2
 
 # Seconds-long kernel microbenchmark; validates the emitted JSON against
-# the bdd-kernel-bench/v2 schema (exit 1 on malformed output).
+# the bdd-kernel-bench/v2 schema (exit 1 on malformed output).  The
+# smoke-sized report lands under _build/smoke/, never over the committed
+# BENCH_kernel.json.
 bench-smoke: build
-	dune exec bench/micro.exe -- --smoke -o BENCH_kernel.json
-	dune exec bench/micro.exe -- --validate BENCH_kernel.json
+	mkdir -p _build/smoke
+	dune exec bench/micro.exe -- --smoke -o _build/smoke/BENCH_kernel.json
+	dune exec bench/micro.exe -- --validate _build/smoke/BENCH_kernel.json
 
 # Record a 4-worker span trace + metrics snapshot of the bench smoke run,
 # then structurally validate both: balanced begin/end spans and
@@ -42,8 +45,9 @@ chaos-smoke: build
 
 # End-to-end smoke of the serve layer: a 4-worker server under the
 # closed-loop load generator (>= 1000 oracle-checked requests), graceful
-# SIGTERM drain, validated BENCH_serve.json / metrics / trace artifacts,
-# then the same under seeded fault injection (the server must survive).
+# SIGTERM drain, validated BENCH_serve.json / metrics / trace artifacts
+# (all under _build/smoke/), then the same under seeded fault injection
+# (the server must survive).
 serve-smoke: build
 	scripts/serve_smoke.sh
 
@@ -52,7 +56,7 @@ serve-smoke: build
 # client-side wire faults) against a supervised server with a worker
 # deliberately wedged mid-run.  Asserts zero server exits, zero oracle
 # contradictions, a held p99 SLO, at least one supervisor respawn, and a
-# validated soak section in BENCH_serve_soak.json.
+# validated soak section in _build/smoke/BENCH_serve_soak.json.
 soak-smoke: build
 	scripts/soak_smoke.sh
 

@@ -2,7 +2,7 @@
 
      serve_main.exe --socket PATH | --port N
                     [--workers N] [--queue-depth N] [--par-jobs N]
-                    [--frontend poll|threaded] [--arena]
+                    [--arena]
                     [--request-node-budget N] [--request-deadline SECS]
                     [--max-sessions N] [--io-timeout SECS]
                     [--hang-timeout SECS] [--session-linger SECS]
@@ -27,8 +27,8 @@
 let usage () =
   prerr_endline
     "usage: serve_main (--socket PATH | --port N) [--workers N]\n\
-    \       [--queue-depth N] [--par-jobs N] [--frontend poll|threaded]\n\
-    \       [--arena] [--request-node-budget N]\n\
+    \       [--queue-depth N] [--par-jobs N] [--arena]\n\
+    \       [--request-node-budget N]\n\
     \       [--request-deadline SECS] [--max-sessions N]\n\
     \       [--io-timeout SECS] [--hang-timeout SECS]\n\
     \       [--session-linger SECS] [--table-capacity N]\n\
@@ -61,7 +61,6 @@ let () =
   and deadline = ref None
   and max_sessions = ref Serve.Server.default_config.max_sessions
   and par_jobs = ref Serve.Server.default_config.par_jobs
-  and frontend = ref Serve.Server.default_config.frontend
   and arena = ref false
   and io_timeout = ref (Some 30.0)
   and hang_timeout = ref None
@@ -100,17 +99,11 @@ let () =
     | "--par-jobs" :: n :: rest ->
         par_jobs := pos_int "--par-jobs" n;
         parse rest
-    | "--frontend" :: f :: rest ->
-        (match f with
-        | "poll" -> frontend := Serve.Server.Poll
-        | "threaded" -> frontend := Serve.Server.Threaded
-        | _ -> fail "--frontend wants poll or threaded, got %s" f);
-        parse rest
     | "--arena" :: rest ->
         arena := true;
         parse rest
     | "--io-timeout" :: s :: rest ->
-        (* 0 disables: blocking IO, the pre-PR 9 behavior *)
+        (* 0 disables: an idle connection is never dropped *)
         (match float_of_string_opt s with
         | Some d when d = 0.0 -> io_timeout := None
         | Some d when d > 0.0 -> io_timeout := Some d
@@ -187,7 +180,6 @@ let () =
   let cfg =
     {
       Serve.Server.bind;
-      frontend = !frontend;
       arena = !arena;
       workers = !workers;
       queue_depth = !queue_depth;

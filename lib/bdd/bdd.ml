@@ -1703,37 +1703,26 @@ let import man s =
       corrupt "Bdd.import: expected exactly one root, found %d"
         (Array.length s.s_roots)
 
-(* Binary format: the magic string "BDD1" followed by unsigned LEB128
-   varints — nvars, the order array, the node count, (var, hi, lo) per
-   node, the root count, and the root indices. *)
-
-let add_varint buf n =
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  if n < 0 then invalid_arg "Bdd: cannot serialize a negative integer";
-  go n
+(* Binary format: the magic string "BDD1" followed by Codec varints —
+   nvars, the order array, the node count, (var, hi, lo) per node, the
+   root count, and the root indices. *)
 
 let magic = "BDD1"
 
 let serialized_to_string s =
   let buf = Buffer.create (16 + (4 * Array.length s.s_nodes)) in
   Buffer.add_string buf magic;
-  add_varint buf s.s_nvars;
-  Array.iter (add_varint buf) s.s_order;
-  add_varint buf (Array.length s.s_nodes);
+  Codec.add_varint buf s.s_nvars;
+  Array.iter (Codec.add_varint buf) s.s_order;
+  Codec.add_varint buf (Array.length s.s_nodes);
   Array.iter
     (fun (v, h, l) ->
-      add_varint buf v;
-      add_varint buf h;
-      add_varint buf l)
+      Codec.add_varint buf v;
+      Codec.add_varint buf h;
+      Codec.add_varint buf l)
     s.s_nodes;
-  add_varint buf (Array.length s.s_roots);
-  Array.iter (add_varint buf) s.s_roots;
+  Codec.add_varint buf (Array.length s.s_roots);
+  Array.iter (Codec.add_varint buf) s.s_roots;
   Buffer.contents buf
 
 (* FNV-1a (64-bit) over the canonical byte encoding: a cheap stable
@@ -1751,51 +1740,27 @@ let serialized_digest s =
   Printf.sprintf "%016Lx" !h
 
 let serialized_of_string str =
-  let len = String.length str in
-  if len < 4 || String.sub str 0 4 <> magic then
+  if String.length str < 4 || String.sub str 0 4 <> magic then
     corrupt "Bdd.serialized_of_string: bad magic";
-  let pos = ref 4 in
-  let byte () =
-    if !pos >= len then corrupt "Bdd.serialized_of_string: truncated input";
-    let c = Char.code str.[!pos] in
-    incr pos;
-    c
+  let r =
+    Codec.reader ~pos:4 str ~fail:(fun m ->
+        Corrupt ("Bdd.serialized_of_string: " ^ m))
   in
-  let varint () =
-    let rec go shift acc =
-      if shift > 62 then corrupt "Bdd.serialized_of_string: varint overflow";
-      let b = byte () in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
-  in
-  (* every element takes at least one byte, so an announced length beyond
-     the remaining input is corrupt — checked before allocating *)
-  let counted what n =
-    if n > len - !pos then
-      corrupt "Bdd.serialized_of_string: %s count %d exceeds input" what n;
-    n
-  in
-  let nvars = varint () in
-  let order = Array.init (counted "order" nvars) (fun _ -> varint ()) in
-  let nnodes = varint () in
-  (* a node is three varints, at least three bytes: a tighter bound than
-     the generic one-byte-per-element check, applied before allocating *)
-  if nnodes > (len - !pos) / 3 then
-    corrupt
-      "Bdd.serialized_of_string: node count %d needs %d bytes, only %d remain"
-      nnodes (3 * nnodes) (len - !pos);
+  (* the variable count is also the order's length; a node is three
+     varints, so at least three bytes *)
+  let nvars = Codec.count r ~min_bytes:1 in
+  let order = Array.init nvars (fun _ -> Codec.varint r) in
   let nodes =
-    Array.init nnodes (fun _ ->
-        let v = varint () in
-        let h = varint () in
-        let l = varint () in
+    Array.init (Codec.count r ~min_bytes:3) (fun _ ->
+        let v = Codec.varint r in
+        let h = Codec.varint r in
+        let l = Codec.varint r in
         (v, h, l))
   in
-  let nroots = varint () in
-  let roots = Array.init (counted "root" nroots) (fun _ -> varint ()) in
-  if !pos <> len then corrupt "Bdd.serialized_of_string: trailing garbage";
+  let roots =
+    Array.init (Codec.count r ~min_bytes:1) (fun _ -> Codec.varint r)
+  in
+  Codec.finish r;
   { s_nvars = nvars; s_order = order; s_nodes = nodes; s_roots = roots }
 
 let save path s =

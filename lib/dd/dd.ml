@@ -827,82 +827,43 @@ let import man s =
   | [ u ] -> u
   | l -> raise (Corrupt (Printf.sprintf "expected 1 root, frame has %d" (List.length l)))
 
-(* LEB128 varints, with the same length-bomb guards the BDD1 codec
-   uses: every count is checked against the bytes that could plausibly
-   back it *)
-let add_varint buf n =
-  let n = ref n in
-  let continue_ = ref true in
-  while !continue_ do
-    let b = !n land 0x7f in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char buf (Char.chr b);
-      continue_ := false
-    end
-    else Buffer.add_char buf (Char.chr (b lor 0x80))
-  done
-
-let read_varint s pos =
-  let len = String.length s in
-  let rec go acc shift pos =
-    if pos >= len then raise (Corrupt "truncated varint");
-    if shift > 62 then raise (Corrupt "varint overflow");
-    let b = Char.code s.[pos] in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then (acc, pos + 1) else go acc (shift + 7) (pos + 1)
-  in
-  go 0 0 pos
-
 let serialized_to_string s =
   let buf = Buffer.create 256 in
   Buffer.add_string buf magic;
-  add_varint buf (mode_byte s.d_mode);
-  add_varint buf s.d_nvars;
-  add_varint buf (Array.length s.d_nodes);
+  Codec.add_varint buf (mode_byte s.d_mode);
+  Codec.add_varint buf s.d_nvars;
+  Codec.add_varint buf (Array.length s.d_nodes);
   Array.iter
     (fun (top, bot, hi, lo) ->
-      add_varint buf top;
-      add_varint buf bot;
-      add_varint buf hi;
-      add_varint buf lo)
+      Codec.add_varint buf top;
+      Codec.add_varint buf bot;
+      Codec.add_varint buf hi;
+      Codec.add_varint buf lo)
     s.d_nodes;
-  add_varint buf (Array.length s.d_roots);
-  Array.iter (fun r -> add_varint buf r) s.d_roots;
+  Codec.add_varint buf (Array.length s.d_roots);
+  Array.iter (Codec.add_varint buf) s.d_roots;
   Buffer.contents buf
 
 let serialized_of_string str =
-  let len = String.length str in
-  if len < 4 || String.sub str 0 4 <> magic then
+  if String.length str < 4 || String.sub str 0 4 <> magic then
     raise (Corrupt "bad magic (want DDC1)");
-  let mb, pos = read_varint str 4 in
-  let d_mode = mode_of_byte mb in
-  let d_nvars, pos = read_varint str pos in
-  if d_nvars < 0 || d_nvars > 1 lsl 24 then
-    raise (Corrupt "implausible variable count");
-  let nn, pos = read_varint str pos in
-  (* each node record needs at least 4 bytes *)
-  if nn < 0 || nn > (len - pos) / 4 then raise (Corrupt "implausible node count");
-  let pos = ref pos in
+  let r = Codec.reader ~pos:4 str ~fail:(fun m -> Corrupt m) in
+  let d_mode = mode_of_byte (Codec.varint r) in
+  let d_nvars = Codec.varint r in
+  if d_nvars > 1 lsl 24 then raise (Corrupt "implausible variable count");
+  (* a node record is four varints, so at least four bytes *)
   let d_nodes =
-    Array.init nn (fun _ ->
-        let top, p = read_varint str !pos in
-        let bot, p = read_varint str p in
-        let hi, p = read_varint str p in
-        let lo, p = read_varint str p in
-        pos := p;
+    Array.init (Codec.count r ~min_bytes:4) (fun _ ->
+        let top = Codec.varint r in
+        let bot = Codec.varint r in
+        let hi = Codec.varint r in
+        let lo = Codec.varint r in
         (top, bot, hi, lo))
   in
-  let nr, p = read_varint str !pos in
-  if nr < 0 || nr > len - p + 1 then raise (Corrupt "implausible root count");
-  pos := p;
   let d_roots =
-    Array.init nr (fun _ ->
-        let r, p = read_varint str !pos in
-        pos := p;
-        r)
+    Array.init (Codec.count r ~min_bytes:1) (fun _ -> Codec.varint r)
   in
-  if !pos <> len then raise (Corrupt "trailing garbage");
+  Codec.finish r;
   { d_mode; d_nvars; d_nodes; d_roots }
 
 let read_string man str =

@@ -26,17 +26,8 @@ let crc32 s =
 let trailer_magic = "BDC2"
 let trailer_len = 4 + 8 + 4
 
-let le_bytes buf n width =
-  for i = 0 to width - 1 do
-    Buffer.add_char buf (Char.chr ((n lsr (8 * i)) land 0xFF))
-  done
-
-let le_int s off width =
-  let n = ref 0 in
-  for i = width - 1 downto 0 do
-    n := (!n lsl 8) lor Char.code s.[off + i]
-  done;
-  !n
+(* the stored crc: an unsigned le32 *)
+let crc_at s off = Int32.to_int (String.get_int32_le s off) land 0xFFFFFFFF
 
 (* The crc covers everything before it — body, magic and length field —
    so no single corruption outside the crc bytes themselves can cancel
@@ -45,8 +36,8 @@ let with_trailer body =
   let buf = Buffer.create (String.length body + trailer_len) in
   Buffer.add_string buf body;
   Buffer.add_string buf trailer_magic;
-  le_bytes buf (String.length body) 8;
-  le_bytes buf (crc32 (Buffer.contents buf)) 4;
+  Buffer.add_int64_le buf (Int64.of_int (String.length body));
+  Buffer.add_int32_le buf (Int32.of_int (crc32 (Buffer.contents buf)));
   Buffer.contents buf
 
 (* Strip and verify the trailer; [None] when the file predates it (legacy
@@ -56,11 +47,13 @@ let body_of_file path data =
   if len < trailer_len || String.sub data (len - trailer_len) 4 <> trailer_magic
   then None
   else begin
-    let announced = le_int data (len - trailer_len + 4) 8 in
+    let announced =
+      Int64.to_int (String.get_int64_le data (len - trailer_len + 4))
+    in
     if announced <> len - trailer_len then
       corrupt "Resil.Checkpoint: %s announces a %d-byte body but holds %d"
         path announced (len - trailer_len);
-    let stored = le_int data (len - 4) 4 in
+    let stored = crc_at data (len - 4) in
     let actual = crc32 (String.sub data 0 (len - 4)) in
     if stored <> actual then
       corrupt "Resil.Checkpoint: %s checksum mismatch (stored %08x, file %08x)"
@@ -163,13 +156,11 @@ let write_stream path fill =
             over body ++ magic ++ length — same layout as [with_trailer] *)
          let tail = Buffer.create trailer_len in
          Buffer.add_string tail trailer_magic;
-         le_bytes tail !body_len 8;
+         Buffer.add_int64_le tail (Int64.of_int !body_len);
          let tail_bytes = Buffer.to_bytes tail in
          crc := crc32_update !crc tail_bytes 0 (Bytes.length tail_bytes);
-         let crcb = Buffer.create 4 in
-         le_bytes crcb !crc 4;
-         output_bytes oc tail_bytes;
-         output_string oc (Buffer.contents crcb);
+         Buffer.add_int32_le tail (Int32.of_int !crc);
+         output_string oc (Buffer.contents tail);
          flush oc;
          Unix.fsync (Unix.descr_of_out_channel oc));
      Unix.rename tmp path;
@@ -195,11 +186,11 @@ let verify_stream path =
       let tail = really_input_string ic trailer_len in
       if String.sub tail 0 4 <> trailer_magic then
         corrupt "Resil.Checkpoint: %s has no checksum trailer" path;
-      let announced = le_int tail 4 8 in
+      let announced = Int64.to_int (String.get_int64_le tail 4) in
       if announced <> len - trailer_len then
         corrupt "Resil.Checkpoint: %s announces a %d-byte body but holds %d"
           path announced (len - trailer_len);
-      let stored = le_int tail (trailer_len - 4) 4 in
+      let stored = crc_at tail (trailer_len - 4) in
       seek_in ic 0;
       let chunk = Bytes.create 65536 in
       let crc = ref 0 and remaining = ref (len - 4) in
@@ -240,24 +231,13 @@ let load path =
 
 type reach_state = { iterations : int; images : int; payload : Bdd.serialized }
 
-let add_varint buf n =
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  if n < 0 then invalid_arg "Resil.Checkpoint: negative counter";
-  go n
-
 let save_reach path st =
   if Array.length st.payload.Bdd.s_roots <> 2 then
     invalid_arg "Resil.Checkpoint.save_reach: payload wants exactly 2 roots";
   let buf = Buffer.create 64 in
   Buffer.add_string buf reach_magic;
-  add_varint buf st.iterations;
-  add_varint buf st.images;
+  Codec.add_varint buf st.iterations;
+  Codec.add_varint buf st.images;
   Buffer.add_string buf (Bdd.serialized_to_string st.payload);
   write_atomic path (with_trailer (Buffer.contents buf))
 
@@ -272,23 +252,14 @@ let load_reach path =
   let len = String.length body in
   if len < 4 || String.sub body 0 4 <> reach_magic then
     corrupt "Resil.Checkpoint: %s is not a reachability checkpoint" path;
-  let pos = ref 4 in
-  let varint () =
-    let rec go shift acc =
-      if !pos >= len then
-        corrupt "Resil.Checkpoint: %s truncated counter" path;
-      if shift > 62 then corrupt "Resil.Checkpoint: %s counter overflow" path;
-      let b = Char.code body.[!pos] in
-      incr pos;
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
+  let r =
+    Codec.reader ~pos:4 body ~fail:(fun m ->
+        Bdd.Corrupt (Printf.sprintf "Resil.Checkpoint: %s counter: %s" path m))
   in
-  let iterations = varint () in
-  let images = varint () in
+  let iterations = Codec.varint r in
+  let images = Codec.varint r in
   let payload =
-    Bdd.serialized_of_string (String.sub body !pos (len - !pos))
+    Bdd.serialized_of_string (String.sub body (Codec.pos r) (len - Codec.pos r))
   in
   if Array.length payload.Bdd.s_roots <> 2 then
     corrupt "Resil.Checkpoint: %s carries %d roots, expected 2" path

@@ -1,9 +1,10 @@
 (* Wire protocol codec (see the mli for the frame grammar).
 
-   Decoding is paranoid by construction: every read checks its bounds,
-   the body must be consumed exactly, and the whole frame is covered by a
-   CRC-32 — the same discipline as Resil.Checkpoint, so the corruption
-   properties of test_serialize.ml carry over to every frame kind. *)
+   Decoding is paranoid by construction: every body read goes through a
+   Codec reader that checks its bounds and fails as Bad_frame, the body
+   must be consumed exactly, and the whole frame is covered by a CRC-32 —
+   the same discipline as Resil.Checkpoint, so the corruption properties
+   of test_serialize.ml carry over to every frame kind. *)
 
 exception Bad_frame of string
 
@@ -146,77 +147,17 @@ let pp_reply fmt = function
         (if resumed then "resumed" else "fresh")
         handles
 
-(* --- body encoding primitives ---------------------------------------- *)
+(* --- the wire's own field types, on top of Codec ----------------------- *)
 
-let add_varint buf n =
-  if n < 0 then invalid_arg "Serve.Proto: negative integer";
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  go n
-
-let add_zigzag buf n = add_varint buf ((n lsl 1) lxor (n asr 62))
-let add_bool buf b = Buffer.add_char buf (if b then '\001' else '\000')
-
-let add_str buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
-
+(* signed values (Stats) travel zigzagged; floats as le64 bit patterns *)
+let add_zigzag buf n = Codec.add_varint buf ((n lsl 1) lxor (n asr 62))
 let add_f64 buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
 
-let add_list buf add xs =
-  add_varint buf (List.length xs);
-  List.iter (add buf) xs
-
-type reader = { body : string; mutable pos : int }
-
-let r_varint r =
-  let len = String.length r.body in
-  let rec go shift acc =
-    if r.pos >= len then bad "truncated integer";
-    if shift > 62 then bad "integer overflow";
-    let b = Char.code r.body.[r.pos] in
-    r.pos <- r.pos + 1;
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
-
 let r_zigzag r =
-  let n = r_varint r in
+  let n = Codec.varint r in
   (n lsr 1) lxor (-(n land 1))
 
-let r_bool r =
-  if r.pos >= String.length r.body then bad "truncated boolean";
-  let c = r.body.[r.pos] in
-  r.pos <- r.pos + 1;
-  match c with
-  | '\000' -> false
-  | '\001' -> true
-  | c -> bad "bad boolean byte %d" (Char.code c)
-
-let r_str r =
-  let n = r_varint r in
-  if n > String.length r.body - r.pos then bad "truncated string";
-  let s = String.sub r.body r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let r_f64 r =
-  if r.pos + 8 > String.length r.body then bad "truncated float";
-  let bits = String.get_int64_le r.body r.pos in
-  r.pos <- r.pos + 8;
-  Int64.float_of_bits bits
-
-let r_list r elt =
-  let n = r_varint r in
-  (* an adversarial count cannot exceed the bytes that must back it *)
-  if n > String.length r.body - r.pos then bad "list longer than body";
-  List.init n (fun _ -> elt r)
+let r_f64 r = Int64.float_of_bits (String.get_int64_le (Codec.take r 8) 0)
 
 (* --- framing ---------------------------------------------------------- *)
 
@@ -267,14 +208,72 @@ let unframe s =
     bad "frame checksum mismatch (stored %08x, computed %08x)" stored actual;
   String.sub s header_len blen
 
+let body_reader what body =
+  Codec.reader body ~fail:(fun m -> Bad_frame (what ^ ": " ^ m))
+
 let decode_body what s parse =
-  let r = { body = unframe s; pos = 0 } in
+  let r = body_reader what (unframe s) in
   let v = parse r in
-  if r.pos <> String.length r.body then
-    bad "%d trailing byte(s) after %s" (String.length r.body - r.pos) what;
+  Codec.finish r;
   v
 
 (* --- requests --------------------------------------------------------- *)
+
+(* An op's encoding is shared with the session journal's J_op entries,
+   so it raises through whatever reader it is handed. *)
+let add_op buf = function
+  | Not a ->
+      Codec.add_varint buf 0;
+      Codec.add_varint buf a
+  | And (a, b) ->
+      Codec.add_varint buf 1;
+      Codec.add_varint buf a;
+      Codec.add_varint buf b
+  | Or (a, b) ->
+      Codec.add_varint buf 2;
+      Codec.add_varint buf a;
+      Codec.add_varint buf b
+  | Xor (a, b) ->
+      Codec.add_varint buf 3;
+      Codec.add_varint buf a;
+      Codec.add_varint buf b
+  | Ite (a, b, c) ->
+      Codec.add_varint buf 4;
+      Codec.add_varint buf a;
+      Codec.add_varint buf b;
+      Codec.add_varint buf c
+  | Exists (vs, a) ->
+      Codec.add_varint buf 5;
+      Codec.add_list buf Codec.add_varint vs;
+      Codec.add_varint buf a
+  | Forall (vs, a) ->
+      Codec.add_varint buf 6;
+      Codec.add_list buf Codec.add_varint vs;
+      Codec.add_varint buf a
+
+let read_op r =
+  match Codec.varint r with
+  | 0 -> Not (Codec.varint r)
+  | 1 ->
+      let a = Codec.varint r in
+      And (a, Codec.varint r)
+  | 2 ->
+      let a = Codec.varint r in
+      Or (a, Codec.varint r)
+  | 3 ->
+      let a = Codec.varint r in
+      Xor (a, Codec.varint r)
+  | 4 ->
+      let a = Codec.varint r in
+      let b = Codec.varint r in
+      Ite (a, b, Codec.varint r)
+  | 5 ->
+      let vs = Codec.list r Codec.varint in
+      Exists (vs, Codec.varint r)
+  | 6 ->
+      let vs = Codec.list r Codec.varint in
+      Forall (vs, Codec.varint r)
+  | n -> Codec.fail r "unknown apply opcode %d" n
 
 let add_request buf ~meta req =
   (* Requests carrying a deadline or idempotency token travel inside an
@@ -284,84 +283,56 @@ let add_request buf ~meta req =
   if meta.deadline_ms < 0 || meta.token < 0 then
     invalid_arg "Serve.Proto: negative request metadata";
   if meta <> no_meta then begin
-    add_varint buf 14;
-    add_varint buf meta.deadline_ms;
-    add_varint buf meta.token
+    Codec.add_varint buf 14;
+    Codec.add_varint buf meta.deadline_ms;
+    Codec.add_varint buf meta.token
   end;
   (match req with
-  | Ping -> add_varint buf 0
+  | Ping -> Codec.add_varint buf 0
   | Lit { var; phase } ->
-      add_varint buf 1;
-      add_varint buf var;
-      add_bool buf phase
+      Codec.add_varint buf 1;
+      Codec.add_varint buf var;
+      Codec.add_bool buf phase
   | Put { bdd } ->
-      add_varint buf 2;
-      add_str buf bdd
+      Codec.add_varint buf 2;
+      Codec.add_str buf bdd
   | Fetch { handle } ->
-      add_varint buf 3;
-      add_varint buf handle
+      Codec.add_varint buf 3;
+      Codec.add_varint buf handle
   | Apply op ->
-      add_varint buf 4;
-      (match op with
-      | Not a ->
-          add_varint buf 0;
-          add_varint buf a
-      | And (a, b) ->
-          add_varint buf 1;
-          add_varint buf a;
-          add_varint buf b
-      | Or (a, b) ->
-          add_varint buf 2;
-          add_varint buf a;
-          add_varint buf b
-      | Xor (a, b) ->
-          add_varint buf 3;
-          add_varint buf a;
-          add_varint buf b
-      | Ite (a, b, c) ->
-          add_varint buf 4;
-          add_varint buf a;
-          add_varint buf b;
-          add_varint buf c
-      | Exists (vs, a) ->
-          add_varint buf 5;
-          add_list buf add_varint vs;
-          add_varint buf a
-      | Forall (vs, a) ->
-          add_varint buf 6;
-          add_list buf add_varint vs;
-          add_varint buf a)
+      Codec.add_varint buf 4;
+      add_op buf op
   | Compile { name; blif } ->
-      add_varint buf 5;
-      add_str buf name;
-      add_str buf blif
+      Codec.add_varint buf 5;
+      Codec.add_str buf name;
+      Codec.add_str buf blif
   | Approx { meth; threshold; handle } ->
-      add_varint buf 6;
-      add_str buf (Approx.method_name meth);
-      add_varint buf threshold;
-      add_varint buf handle
+      Codec.add_varint buf 6;
+      Codec.add_str buf (Approx.method_name meth);
+      Codec.add_varint buf threshold;
+      Codec.add_varint buf handle
   | Decomp { handle; disjunctive } ->
-      add_varint buf 7;
-      add_varint buf handle;
-      add_bool buf disjunctive
+      Codec.add_varint buf 7;
+      Codec.add_varint buf handle;
+      Codec.add_bool buf disjunctive
   | Reach { model; max_iter } ->
-      add_varint buf 8;
-      add_str buf model;
-      add_varint buf max_iter
+      Codec.add_varint buf 8;
+      Codec.add_str buf model;
+      Codec.add_varint buf max_iter
   | Count { handle; nvars } ->
-      add_varint buf 9;
-      add_varint buf handle;
-      add_varint buf nvars
+      Codec.add_varint buf 9;
+      Codec.add_varint buf handle;
+      Codec.add_varint buf nvars
   | Sat { handle } ->
-      add_varint buf 10;
-      add_varint buf handle
+      Codec.add_varint buf 10;
+      Codec.add_varint buf handle
   | Free { handles } ->
-      add_varint buf 11;
-      add_list buf add_varint handles
-  | Stats -> add_varint buf 12
+      Codec.add_varint buf 11;
+      Codec.add_list buf Codec.add_varint handles
+  | Stats -> Codec.add_varint buf 12
   | Attach { key } ->
-      add_varint buf 13;
-      add_str buf key)
+      Codec.add_varint buf 13;
+      Codec.add_str buf key)
 
 let encode_request ?(meta = no_meta) req =
   let buf = Buffer.create 64 in
@@ -380,111 +351,82 @@ type envelope = Single of meta * request | Batch of (meta * request) list
 let encode_batch items =
   if items = [] then invalid_arg "Serve.Proto.encode_batch: empty batch";
   let buf = Buffer.create 256 in
-  add_varint buf batch_opcode;
-  add_list buf
+  Codec.add_varint buf batch_opcode;
+  Codec.add_list buf
     (fun buf (meta, req) ->
       let b = Buffer.create 64 in
       add_request b ~meta req;
-      add_str buf (Buffer.contents b))
+      Codec.add_str buf (Buffer.contents b))
     items;
   frame (Buffer.contents buf)
 
-let parse_request r =
-      let rec go meta depth =
-        match r_varint r with
-        | 0 -> (meta, Ping)
-        | 1 ->
-            let var = r_varint r in
-            let phase = r_bool r in
-            (meta, Lit { var; phase })
-        | 2 -> (meta, Put { bdd = r_str r })
-        | 3 -> (meta, Fetch { handle = r_varint r })
-        | 4 ->
-            ( meta,
-              Apply
-                (match r_varint r with
-                | 0 -> Not (r_varint r)
-                | 1 ->
-                    let a = r_varint r in
-                    And (a, r_varint r)
-                | 2 ->
-                    let a = r_varint r in
-                    Or (a, r_varint r)
-                | 3 ->
-                    let a = r_varint r in
-                    Xor (a, r_varint r)
-                | 4 ->
-                    let a = r_varint r in
-                    let b = r_varint r in
-                    Ite (a, b, r_varint r)
-                | 5 ->
-                    let vs = r_list r r_varint in
-                    Exists (vs, r_varint r)
-                | 6 ->
-                    let vs = r_list r r_varint in
-                    Forall (vs, r_varint r)
-                | n -> bad "unknown apply opcode %d" n) )
-        | 5 ->
-            let name = r_str r in
-            (meta, Compile { name; blif = r_str r })
-        | 6 ->
-            let m = r_str r in
-            let meth =
-              match Approx.method_of_string m with
-              | Some meth -> meth
-              | None -> bad "unknown approximation method %S" m
-            in
-            let threshold = r_varint r in
-            (meta, Approx { meth; threshold; handle = r_varint r })
-        | 7 ->
-            let handle = r_varint r in
-            (meta, Decomp { handle; disjunctive = r_bool r })
-        | 8 ->
-            let model = r_str r in
-            (meta, Reach { model; max_iter = r_varint r })
-        | 9 ->
-            let handle = r_varint r in
-            (meta, Count { handle; nvars = r_varint r })
-        | 10 -> (meta, Sat { handle = r_varint r })
-        | 11 -> (meta, Free { handles = r_list r r_varint })
-        | 12 -> (meta, Stats)
-        | 13 -> (meta, Attach { key = r_str r })
-        | 14 ->
-            (* metadata envelope: deadline, token, then the inner request.
-               One level only — a nested envelope is an encoding bug, not
-               a forward-compatibility affordance. *)
-            if depth > 0 then bad "nested request envelope";
-            let deadline_ms = r_varint r in
-            let token = r_varint r in
-            go { deadline_ms; token } (depth + 1)
-        | n -> bad "unknown request opcode %d" n
+(* [opcode] has been read already: decode_envelope reads it first to
+   tell a batch from a single request *)
+let parse_body r opcode =
+  match opcode with
+  | 0 -> Ping
+  | 1 ->
+      let var = Codec.varint r in
+      Lit { var; phase = Codec.bool r }
+  | 2 -> Put { bdd = Codec.str r }
+  | 3 -> Fetch { handle = Codec.varint r }
+  | 4 -> Apply (read_op r)
+  | 5 ->
+      let name = Codec.str r in
+      Compile { name; blif = Codec.str r }
+  | 6 ->
+      let m = Codec.str r in
+      let meth =
+        match Approx.method_of_string m with
+        | Some meth -> meth
+        | None -> bad "unknown approximation method %S" m
       in
-      go no_meta 0
+      let threshold = Codec.varint r in
+      Approx { meth; threshold; handle = Codec.varint r }
+  | 7 ->
+      let handle = Codec.varint r in
+      Decomp { handle; disjunctive = Codec.bool r }
+  | 8 ->
+      let model = Codec.str r in
+      Reach { model; max_iter = Codec.varint r }
+  | 9 ->
+      let handle = Codec.varint r in
+      Count { handle; nvars = Codec.varint r }
+  | 10 -> Sat { handle = Codec.varint r }
+  | 11 -> Free { handles = Codec.list r Codec.varint }
+  | 12 -> Stats
+  | 13 -> Attach { key = Codec.str r }
+  | 14 -> bad "nested request envelope"
+  | n -> bad "unknown request opcode %d" n
+
+(* The metadata envelope (opcode 14): deadline, token, then the inner
+   request.  One level only — a nested envelope is an encoding bug, not
+   a forward-compatibility affordance. *)
+let parse_request r opcode =
+  if opcode <> 14 then (no_meta, parse_body r opcode)
+  else
+    let deadline_ms = Codec.varint r in
+    let token = Codec.varint r in
+    ({ deadline_ms; token }, parse_body r (Codec.varint r))
 
 let decode_envelope s =
   decode_body "request" s (fun r ->
-      let saved = r.pos in
-      if r_varint r = batch_opcode then begin
-        let items =
-          r_list r (fun r ->
-              let sub = r_str r in
-              let sr = { body = sub; pos = 0 } in
-              (* a nested batch hits the unknown-opcode arm of the item
-                 parser: batches do not recurse *)
-              let v = parse_request sr in
-              if sr.pos <> String.length sub then
-                bad "%d trailing byte(s) after batch item"
-                  (String.length sub - sr.pos);
-              v)
-        in
-        if items = [] then bad "empty batch";
-        Batch items
-      end
-      else begin
-        r.pos <- saved;
-        let meta, req = parse_request r in
-        Single (meta, req)
-      end)
+      match Codec.varint r with
+      | opcode when opcode = batch_opcode ->
+          let items =
+            Codec.list r (fun r ->
+                let item = body_reader "batch item" (Codec.str r) in
+                (* a nested batch hits the unknown-opcode arm of the item
+                   parser: batches do not recurse *)
+                let v = parse_request item (Codec.varint item) in
+                Codec.finish item;
+                v)
+          in
+          if items = [] then bad "empty batch";
+          Batch items
+      | opcode ->
+          let meta, req = parse_request r opcode in
+          Single (meta, req))
 
 let decode_request_meta s =
   match decode_envelope s with
@@ -496,138 +438,138 @@ let decode_request s = snd (decode_request_meta s)
 (* --- replies ---------------------------------------------------------- *)
 
 let add_cert buf = function
-  | Exact -> add_varint buf 0
+  | Exact -> Codec.add_varint buf 0
   | Degraded rungs ->
-      add_varint buf 1;
-      add_list buf add_str rungs
+      Codec.add_varint buf 1;
+      Codec.add_list buf Codec.add_str rungs
 
 let r_cert r =
-  match r_varint r with
+  match Codec.varint r with
   | 0 -> Exact
-  | 1 -> Degraded (r_list r r_str)
+  | 1 -> Degraded (Codec.list r Codec.str)
   | n -> bad "unknown certificate tag %d" n
 
 let encode_reply rep =
   let buf = Buffer.create 64 in
   (match rep with
-  | Pong -> add_varint buf 0
+  | Pong -> Codec.add_varint buf 0
   | Handle { id; size; cert } ->
-      add_varint buf 1;
-      add_varint buf id;
-      add_varint buf size;
+      Codec.add_varint buf 1;
+      Codec.add_varint buf id;
+      Codec.add_varint buf size;
       add_cert buf cert
   | Bdd_payload { bdd } ->
-      add_varint buf 2;
-      add_str buf bdd
+      Codec.add_varint buf 2;
+      Codec.add_str buf bdd
   | Handles hs ->
-      add_varint buf 3;
-      add_list buf
+      Codec.add_varint buf 3;
+      Codec.add_list buf
         (fun buf (name, id, size) ->
-          add_str buf name;
-          add_varint buf id;
-          add_varint buf size)
+          Codec.add_str buf name;
+          Codec.add_varint buf id;
+          Codec.add_varint buf size)
         hs
   | Pair { g; g_size; h; h_size; shared } ->
-      add_varint buf 4;
-      add_varint buf g;
-      add_varint buf g_size;
-      add_varint buf h;
-      add_varint buf h_size;
-      add_varint buf shared
+      Codec.add_varint buf 4;
+      Codec.add_varint buf g;
+      Codec.add_varint buf g_size;
+      Codec.add_varint buf h;
+      Codec.add_varint buf h_size;
+      Codec.add_varint buf shared
   | Reach_done { states; iterations; images; reached; reached_size; cert } ->
-      add_varint buf 5;
+      Codec.add_varint buf 5;
       add_f64 buf states;
-      add_varint buf iterations;
-      add_varint buf images;
-      add_varint buf reached;
-      add_varint buf reached_size;
+      Codec.add_varint buf iterations;
+      Codec.add_varint buf images;
+      Codec.add_varint buf reached;
+      Codec.add_varint buf reached_size;
       add_cert buf cert
   | Count_is n ->
-      add_varint buf 6;
+      Codec.add_varint buf 6;
       add_f64 buf n
   | Sat_is cube ->
-      add_varint buf 7;
+      Codec.add_varint buf 7;
       (match cube with
-      | None -> add_bool buf false
+      | None -> Codec.add_bool buf false
       | Some lits ->
-          add_bool buf true;
-          add_list buf
+          Codec.add_bool buf true;
+          Codec.add_list buf
             (fun buf (v, b) ->
-              add_varint buf v;
-              add_bool buf b)
+              Codec.add_varint buf v;
+              Codec.add_bool buf b)
             lits)
   | Stats_are kvs ->
-      add_varint buf 8;
-      add_list buf
+      Codec.add_varint buf 8;
+      Codec.add_list buf
         (fun buf (k, v) ->
-          add_str buf k;
+          Codec.add_str buf k;
           add_zigzag buf v)
         kvs
   | Freed n ->
-      add_varint buf 9;
-      add_varint buf n
+      Codec.add_varint buf 9;
+      Codec.add_varint buf n
   | Error m ->
-      add_varint buf 10;
-      add_str buf m
-  | Overloaded -> add_varint buf 11
+      Codec.add_varint buf 10;
+      Codec.add_str buf m
+  | Overloaded -> Codec.add_varint buf 11
   | Attached { session; resumed; handles } ->
-      add_varint buf 12;
-      add_varint buf session;
-      add_bool buf resumed;
-      add_varint buf handles);
+      Codec.add_varint buf 12;
+      Codec.add_varint buf session;
+      Codec.add_bool buf resumed;
+      Codec.add_varint buf handles);
   frame (Buffer.contents buf)
 
 let decode_reply s =
   decode_body "reply" s (fun r ->
-      match r_varint r with
+      match Codec.varint r with
       | 0 -> Pong
       | 1 ->
-          let id = r_varint r in
-          let size = r_varint r in
+          let id = Codec.varint r in
+          let size = Codec.varint r in
           Handle { id; size; cert = r_cert r }
-      | 2 -> Bdd_payload { bdd = r_str r }
+      | 2 -> Bdd_payload { bdd = Codec.str r }
       | 3 ->
           Handles
-            (r_list r (fun r ->
-                 let name = r_str r in
-                 let id = r_varint r in
-                 (name, id, r_varint r)))
+            (Codec.list r (fun r ->
+                 let name = Codec.str r in
+                 let id = Codec.varint r in
+                 (name, id, Codec.varint r)))
       | 4 ->
-          let g = r_varint r in
-          let g_size = r_varint r in
-          let h = r_varint r in
-          let h_size = r_varint r in
-          Pair { g; g_size; h; h_size; shared = r_varint r }
+          let g = Codec.varint r in
+          let g_size = Codec.varint r in
+          let h = Codec.varint r in
+          let h_size = Codec.varint r in
+          Pair { g; g_size; h; h_size; shared = Codec.varint r }
       | 5 ->
           let states = r_f64 r in
-          let iterations = r_varint r in
-          let images = r_varint r in
-          let reached = r_varint r in
-          let reached_size = r_varint r in
+          let iterations = Codec.varint r in
+          let images = Codec.varint r in
+          let reached = Codec.varint r in
+          let reached_size = Codec.varint r in
           Reach_done
             { states; iterations; images; reached; reached_size;
               cert = r_cert r }
       | 6 -> Count_is (r_f64 r)
       | 7 ->
           Sat_is
-            (if r_bool r then
+            (if Codec.bool r then
                Some
-                 (r_list r (fun r ->
-                      let v = r_varint r in
-                      (v, r_bool r)))
+                 (Codec.list r (fun r ->
+                      let v = Codec.varint r in
+                      (v, Codec.bool r)))
              else None)
       | 8 ->
           Stats_are
-            (r_list r (fun r ->
-                 let k = r_str r in
+            (Codec.list r (fun r ->
+                 let k = Codec.str r in
                  (k, r_zigzag r)))
-      | 9 -> Freed (r_varint r)
-      | 10 -> Error (r_str r)
+      | 9 -> Freed (Codec.varint r)
+      | 10 -> Error (Codec.str r)
       | 11 -> Overloaded
       | 12 ->
-          let session = r_varint r in
-          let resumed = r_bool r in
-          Attached { session; resumed; handles = r_varint r }
+          let session = Codec.varint r in
+          let resumed = Codec.bool r in
+          Attached { session; resumed; handles = Codec.varint r }
       | n -> bad "unknown reply opcode %d" n)
 
 (* --- transport -------------------------------------------------------- *)

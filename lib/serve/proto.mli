@@ -10,7 +10,9 @@
     discipline as {!Resil.Checkpoint}, so a flipped bit or a torn write
     anywhere in a frame raises {!Bad_frame} and can never decode into a
     different well-formed message.  Bodies are opcode-tagged and use the
-    LEB128 varints of {!Bdd.serialized_to_string}; BDD payloads ({!Put},
+    {!Codec} varints that {!Bdd.serialized_to_string} uses too, plus two
+    field types of the wire's own: zigzagged signed integers ({!Stats_are}
+    values) and le64 floats; BDD payloads ({!Put},
     {!Fetch}) travel as [Bdd.export] bytes and are revalidated by
     [Bdd.import] on arrival.
 
@@ -26,8 +28,10 @@
 
 exception Bad_frame of string
 (** Malformed frame or body: bad magic, unsupported version, length
-    mismatch, checksum mismatch, unknown opcode, truncated or trailing
-    body bytes.  A peer receiving this on decode must treat the
+    mismatch, checksum mismatch, unknown opcode, a varint over nine bytes
+    or above [max_int], a count or length beyond the body, truncated or
+    trailing body bytes.  This is the only exception the decoders raise,
+    whatever the bytes.  A peer receiving this on decode must treat the
     connection as desynchronized and close it. *)
 
 (** Handle-level BDD operations ({!Apply}). *)
@@ -110,13 +114,19 @@ type reply =
       (** reply to {!Attach}: the durable session id, whether an existing
           session was resumed, and how many handles it holds *)
 
+val add_op : Buffer.t -> op -> unit
+val read_op : Codec.reader -> op
+(** An {!op}'s encoding inside an {!Apply} body, shared with the session
+    journal; [read_op] fails through the reader's own exception. *)
+
 val pp_request : Format.formatter -> request -> unit
 val pp_reply : Format.formatter -> reply -> unit
 
 (** {1 Codec}
 
     [encode_*] produce a complete frame; [decode_*] take a complete frame
-    and @raise Bad_frame on anything the encoder did not produce. *)
+    and @raise Bad_frame on anything the encoder did not produce — and
+    raise nothing else. *)
 
 val encode_request : ?meta:meta -> request -> string
 (** With [meta] = {!no_meta} (the default) the frame is byte-identical

@@ -1,24 +1,16 @@
-(* Socket front-end (see the mli for the threading model).
+(* Socket front end (see the mli for the threading model).
 
-   Two interchangeable front ends parse frames off the sockets:
+   One event-loop thread multiplexes every accepted connection (plus the
+   listener and a self-pipe) through [Unix.select], accumulates inbound
+   bytes per connection, and peels complete frames off incrementally —
+   so one slow or stalled client costs a buffer, not a thread, and a
+   client may pipeline frames back-to-back without waiting for replies.
+   Workers write replies opportunistically (non-blocking, under the
+   connection's write lock); whatever does not fit in the socket buffer
+   is queued and flushed by the loop when the fd turns writable.
 
-   - [Poll] (default): one event-loop thread multiplexes every accepted
-     connection (plus the listener and a self-pipe) through
-     [Unix.select], accumulates inbound bytes per connection, and peels
-     complete frames off incrementally — so one slow or stalled client
-     costs a buffer, not a thread, and a client may pipeline frames
-     back-to-back without waiting for replies.  Workers write replies
-     opportunistically (non-blocking, under the connection's write
-     lock); whatever does not fit in the socket buffer is queued and
-     flushed by the loop when the fd turns writable.
-
-   - [Threaded]: the historical PR 5/9 shape — one blocking reader
-     thread per connection, socket-level SO_RCVTIMEO/SO_SNDTIMEO
-     timeouts.  Kept as a fallback and as a differential oracle for the
-     event loop.
-
-   Connection lifecycle is refcounted: the front end (reader thread or
-   event loop) holds one reference and every queued request holds one,
+   Connection lifecycle is refcounted: the event loop holds one
+   reference and every queued request holds one,
    so a file descriptor is only closed when the front end has let go AND
    no worker still intends to write a reply — never while an fd could be
    written, which would risk a reply landing on a recycled descriptor.
@@ -37,11 +29,9 @@
    by later sessions (see Arena and Handler's arena paths). *)
 
 type bind = Unix_path of string | Tcp of int
-type frontend = Poll | Threaded
 
 type config = {
   bind : bind;
-  frontend : frontend;
   workers : int;
   queue_depth : int;
   limits : Handler.limits;
@@ -59,7 +49,6 @@ type config = {
 let default_config =
   {
     bind = Unix_path "bdd-serve.sock";
-    frontend = Poll;
     workers = 4;
     queue_depth = 64;
     limits = Handler.no_limits;
@@ -98,7 +87,7 @@ end
 
 let rec_inc c n = if Obs.Metrics.recording () then Obs.Metrics.inc c n
 
-(* Slow-consumer bound on queued outbound bytes (poll front end): a peer
+(* Slow-consumer bound on queued outbound bytes: a peer
    that stops reading while replies pile up is cut off rather than
    allowed to hold frame memory without bound. *)
 let out_cap = 2 * Proto.max_frame
@@ -111,7 +100,7 @@ type conn = {
   mutable refs : int;
   mutable dead : bool;  (* a write failed; stop trying *)
   mutable closed : bool;
-  (* poll front end only — outbound residue the event loop flushes *)
+  (* outbound residue the event loop flushes *)
   outq : string Queue.t;
   mutable out_off : int;  (* bytes of the queue head already written *)
   mutable out_bytes : int;  (* total queued, for the slow-consumer cap *)
@@ -131,16 +120,14 @@ type t = {
   pool : Mt.Service.t;
   par : Mt.Par.t option;  (* parallel kernel, shared by all shards *)
   arena : Arena.t option;  (* process-wide shared segments, if enabled *)
-  lock : Mutex.t;  (* conns + keyed + by_id registries, counters, readers *)
+  lock : Mutex.t;  (* conns + keyed + by_id registries, counters *)
   conns : (int, conn) Hashtbl.t;
   keyed : (string, sess) Hashtbl.t;  (* durable sessions by attach key *)
   by_id : (int, sess) Hashtbl.t;  (* every live session by session id *)
   mutable next_sid : int;
-  mutable readers : Thread.t list;
-  mutable accept_thread : Thread.t option;
-  mutable loop_thread : Thread.t option;  (* poll front end *)
+  mutable loop_thread : Thread.t option;
   mutable loop_stop : bool;
-  wake_wr : Unix.file_descr option;  (* poll self-pipe, write end *)
+  wake_wr : Unix.file_descr;  (* the loop's self-pipe, write end *)
   mutable housekeeper_thread : Thread.t option;
   mutable supervisor_thread : Thread.t option;
   mutable stopping : bool;
@@ -185,12 +172,10 @@ let durable_sessions t =
   Mutex.unlock t.lock;
   n
 
-(* wake the event loop out of select (poll front end only) *)
+(* wake the event loop out of select *)
 let wake t =
-  match t.wake_wr with
-  | None -> ()
-  | Some fd -> (
-      try ignore (Unix.write_substring fd "x" 0 1) with Unix.Unix_error _ -> ())
+  try ignore (Unix.write_substring t.wake_wr "x" 0 1)
+  with Unix.Unix_error _ -> ()
 
 (* --- connection refcounting ------------------------------------------ *)
 
@@ -274,36 +259,27 @@ let send_frame t c frame =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock c.wlock)
     (fun () ->
-      if not c.dead then
-        match t.cfg.frontend with
-        | Threaded -> (
-            try
-              Proto.write_frame c.fd frame;
-              rec_inc M.replies 1;
-              rec_inc M.bytes_out (String.length frame)
-            with Unix.Unix_error _ ->
-              (* peer hung up (or a send timeout fired) mid-reply *)
-              conn_broken c)
-        | Poll ->
-            rec_inc M.replies 1;
-            rec_inc M.bytes_out (String.length frame);
-            if Queue.is_empty c.outq then begin
-              (* opportunistic direct write: most replies fit the socket
-                 buffer, so the common case never waits for the loop *)
-              match write_some c.fd frame 0 with
-              | off when off = String.length frame -> ()
-              | off ->
-                  Queue.add frame c.outq;
-                  c.out_off <- off;
-                  c.out_bytes <- String.length frame - off;
-                  wake t
-              | exception Unix.Unix_error _ -> conn_broken c
-            end
-            else begin
+      if not c.dead then begin
+        rec_inc M.replies 1;
+        rec_inc M.bytes_out (String.length frame);
+        if Queue.is_empty c.outq then begin
+          (* opportunistic direct write: most replies fit the socket
+             buffer, so the common case never waits for the loop *)
+          match write_some c.fd frame 0 with
+          | off when off = String.length frame -> ()
+          | off ->
               Queue.add frame c.outq;
-              c.out_bytes <- c.out_bytes + String.length frame;
-              if c.out_bytes > out_cap then conn_broken c
-            end)
+              c.out_off <- off;
+              c.out_bytes <- String.length frame - off;
+              wake t
+          | exception Unix.Unix_error _ -> conn_broken c
+        end
+        else begin
+          Queue.add frame c.outq;
+          c.out_bytes <- c.out_bytes + String.length frame;
+          if c.out_bytes > out_cap then conn_broken c
+        end
+      end)
 
 let send t c reply = send_frame t c (Proto.encode_reply reply)
 
@@ -426,7 +402,7 @@ let process_batch t c sess items () =
     (fun () ->
       List.iter (fun (meta, req) -> process_one t c sess meta req) items)
 
-(* --- session attach (front-end side) ----------------------------------- *)
+(* --- session attach (event-loop side) ---------------------------------- *)
 
 let do_attach t c key =
   Mutex.lock t.lock;
@@ -470,7 +446,7 @@ let do_attach t c key =
   Mutex.unlock t.lock;
   send t c reply
 
-(* --- frame dispatch (both front ends) ---------------------------------- *)
+(* --- frame dispatch ------------------------------------------------------ *)
 
 let dispatch_request t c meta req =
   Atomic.incr t.c_requests;
@@ -539,28 +515,6 @@ let dispatch_frame t c frame =
   | Proto.Batch items ->
       dispatch_batch t c items;
       true
-
-(* --- threaded front end: reader threads ------------------------------- *)
-
-let reader t c () =
-  let rec loop () =
-    match Proto.read_frame c.fd with
-    | None -> ()
-    | exception Proto.Bad_frame m ->
-        (* desynchronized: answer once, then hang up *)
-        send t c (Proto.Error (Printf.sprintf "protocol error: %s" m))
-    | exception
-        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
-      ->
-        (* the io timeout fired mid-read: a stalled peer (slow-loris, torn
-           frame, wire-fault stall) releases this reader instead of
-           pinning it; the retrying client reconnects and re-attaches *)
-        Atomic.incr t.c_io_timeouts;
-        rec_inc M.io_timeouts 1
-    | exception Unix.Unix_error _ -> ()
-    | Some frame -> if dispatch_frame t c frame then loop ()
-  in
-  Fun.protect ~finally:(fun () -> release t c) loop
 
 (* --- supervision: quarantine + rebuild -------------------------------- *)
 
@@ -726,7 +680,7 @@ let housekeeper t () =
     if not t.stopping then reap_lingering t
   done
 
-(* --- connection setup (both front ends) -------------------------------- *)
+(* --- connection setup ---------------------------------------------------- *)
 
 let accept_conn t fd =
   Mutex.lock t.lock;
@@ -741,21 +695,8 @@ let accept_conn t fd =
     None
   end
   else begin
-    (match t.cfg.frontend with
-    | Threaded -> (
-        (* socket-level timeouts: a peer that stalls mid-frame
-           (slow-loris, injected wire stall, network partition) trips
-           EAGAIN in the reader / writer instead of pinning the thread *)
-        match t.cfg.io_timeout with
-        | Some secs when secs > 0. -> (
-            try
-              Unix.setsockopt_float fd Unix.SO_RCVTIMEO secs;
-              Unix.setsockopt_float fd Unix.SO_SNDTIMEO secs
-            with Unix.Unix_error _ | Invalid_argument _ -> ())
-        | _ -> ())
-    | Poll ->
-        (* the event loop owns stall detection (last-receive clock) *)
-        Unix.set_nonblock fd);
+    (* the event loop owns stall detection (its last-receive clock) *)
+    Unix.set_nonblock fd;
     let s =
       Session.create
         ~shared:(t.cfg.par_jobs > 1)
@@ -787,34 +728,13 @@ let accept_conn t fd =
     Some c
   end
 
-(* --- threaded front end: accept loop ----------------------------------- *)
-
-let accept_loop t () =
-  let rec loop () =
-    if t.stopping then ()
-    else
-      match Unix.accept t.listener with
-      | fd, _ ->
-          (match accept_conn t fd with
-          | None -> ()
-          | Some c ->
-              let th = Thread.create (reader t c) () in
-              Mutex.lock t.lock;
-              t.readers <- th :: t.readers;
-              Mutex.unlock t.lock);
-          loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error _ -> () (* listener closed: draining *)
-  in
-  loop ()
-
-(* --- poll front end: the event loop ------------------------------------ *)
+(* --- the event loop ------------------------------------------------------ *)
 
 (* Per-connection event-loop state.  Only the loop thread touches it, so
    no lock: [inbuf] accumulates raw bytes until whole frames can be
    peeled off; [last_rx] drives the io_timeout stall check; [closing]
-   means "flush outbound, then tear down" (set after a protocol error,
-   mirroring the threaded reader's answer-once-then-hang-up). *)
+   means "flush outbound, then tear down" (set after a protocol error:
+   answer once, then hang up). *)
 type pconn = {
   pc : conn;
   inbuf : Buffer.t;
@@ -830,7 +750,7 @@ let poll_loop t wake_rd () =
     if not p.gone then begin
       p.gone <- true;
       Hashtbl.remove by_fd p.pc.fd;
-      release t p.pc (* the loop's reference — mirrors the reader's *)
+      release t p.pc (* the loop's reference *)
     end
   in
   let protocol_error p m =
@@ -842,7 +762,7 @@ let poll_loop t wake_rd () =
   (* Peel complete frames off the inbound accumulator.  The header is
      peeked incrementally (9 bytes), so a stalled peer costs exactly the
      bytes it sent; a malformed header can never resync and closes the
-     connection after one typed error, like the threaded reader. *)
+     connection after one typed error. *)
   let parse_frames p =
     let again = ref true in
     while !again && not (p.closing || p.pc.dead) do
@@ -950,8 +870,8 @@ let poll_loop t wake_rd () =
               | Some p when not p.gone -> readable p
               | _ -> ())
           r);
-    (* stall detection: the poll analogue of SO_RCVTIMEO — any peer
-       silent for longer than io_timeout is timed out and dropped *)
+    (* stall detection: any peer silent for longer than io_timeout is
+       timed out and dropped *)
     match t.cfg.io_timeout with
     | Some secs when secs > 0. ->
         let now = Obs.Timing.wall () in
@@ -1042,16 +962,10 @@ let start cfg =
         (fd, Unix.getsockname fd)
   in
   Unix.listen listener 64;
-  let wake_rd, wake_wr =
-    match cfg.frontend with
-    | Threaded -> (None, None)
-    | Poll ->
-        Unix.set_nonblock listener;
-        let rd, wr = Unix.pipe () in
-        Unix.set_nonblock rd;
-        Unix.set_nonblock wr;
-        (Some rd, Some wr)
-  in
+  Unix.set_nonblock listener;
+  let wake_rd, wake_wr = Unix.pipe () in
+  Unix.set_nonblock wake_rd;
+  Unix.set_nonblock wake_wr;
   let t =
     {
       cfg;
@@ -1072,8 +986,6 @@ let start cfg =
       keyed = Hashtbl.create 16;
       by_id = Hashtbl.create 64;
       next_sid = 0;
-      readers = [];
-      accept_thread = None;
       loop_thread = None;
       loop_stop = false;
       wake_wr;
@@ -1094,11 +1006,7 @@ let start cfg =
       c_resumed = Atomic.make 0;
     }
   in
-  (match cfg.frontend with
-  | Threaded -> t.accept_thread <- Some (Thread.create (accept_loop t) ())
-  | Poll ->
-      t.loop_thread <-
-        Some (Thread.create (poll_loop t (Option.get wake_rd)) ()));
+  t.loop_thread <- Some (Thread.create (poll_loop t wake_rd) ());
   t.housekeeper_thread <- Some (Thread.create (housekeeper t) ());
   (match cfg.hang_timeout with
   | Some h when h > 0. ->
@@ -1129,85 +1037,31 @@ let drain t =
     a
   in
   if not already then begin
-    match t.cfg.frontend with
-    | Threaded ->
-        (* 1. stop accepting: shutdown usually wakes a blocked accept; a
-           throwaway self-connection covers platforms where it does not
-           (accept_conn sees [stopping] and closes it straight away) *)
-        (try Unix.shutdown t.listener Unix.SHUTDOWN_ALL
-         with Unix.Unix_error _ -> ());
-        (let domain =
-           match t.addr with
-           | Unix.ADDR_UNIX _ -> Unix.PF_UNIX
-           | _ -> Unix.PF_INET
-         in
-         match Unix.socket domain Unix.SOCK_STREAM 0 with
-         | exception Unix.Unix_error _ -> ()
-         | fd ->
-             (try Unix.connect fd t.addr with Unix.Unix_error _ -> ());
-             (try Unix.close fd with Unix.Unix_error _ -> ()));
-        Option.iter Thread.join t.accept_thread;
-        (try Unix.close t.listener with Unix.Unix_error _ -> ());
-        (match t.cfg.bind with
-        | Unix_path path -> (
-            try Unix.unlink path with Unix.Unix_error _ -> ())
-        | Tcp _ -> ());
-        (* 2. answer everything queued and park the worker domains (only
-           then is the parallel kernel quiescent and safe to join); the
-           supervisor thread notices the pool draining and exits on its
-           own *)
-        Mt.Service.drain t.pool;
-        Option.iter Thread.join t.supervisor_thread;
-        Option.iter Mt.Par.shutdown t.par;
-        Option.iter Thread.join t.housekeeper_thread;
-        (* 3. hang up: shutdown wakes readers blocked in read *)
-        Mutex.lock t.lock;
-        let conns = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-        let readers = t.readers in
-        Mutex.unlock t.lock;
-        List.iter
-          (fun c ->
-            try Unix.shutdown c.fd Unix.SHUTDOWN_ALL
-            with Unix.Unix_error _ -> ())
-          conns;
-        List.iter Thread.join readers;
-        (match t.arena with
-        | Some a -> ignore (Arena.reclaim a ())
-        | None -> ());
-        Mutex.lock t.lock;
-        t.drained <- true;
-        Mutex.unlock t.lock
-    | Poll ->
-        (* 1. stop accepting: [stopping] drops the listener from the
-           loop's interest set at its next iteration *)
-        wake t;
-        (* 2. answer everything queued; the loop keeps flushing replies
-           while the pool drains *)
-        Mt.Service.drain t.pool;
-        Option.iter Thread.join t.supervisor_thread;
-        Option.iter Mt.Par.shutdown t.par;
-        Option.iter Thread.join t.housekeeper_thread;
-        (* 3. stop the loop: it final-flushes outbound residue and
-           releases every connection on its way out *)
-        t.loop_stop <- true;
-        wake t;
-        Option.iter Thread.join t.loop_thread;
-        (try Unix.close t.listener with Unix.Unix_error _ -> ());
-        (match t.cfg.bind with
-        | Unix_path path -> (
-            try Unix.unlink path with Unix.Unix_error _ -> ())
-        | Tcp _ -> ());
-        (match t.wake_wr with
-        | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-        | None -> ());
-        (* worker domains are parked: the shared table is quiescent, so
-           the arena can finally sweep unreferenced segment nodes *)
-        (match t.arena with
-        | Some a -> ignore (Arena.reclaim a ())
-        | None -> ());
-        Mutex.lock t.lock;
-        t.drained <- true;
-        Mutex.unlock t.lock
+    (* 1. stop accepting: [stopping] drops the listener from the loop's
+       interest set at its next iteration *)
+    wake t;
+    (* 2. answer everything queued; the loop keeps flushing replies while
+       the pool drains *)
+    Mt.Service.drain t.pool;
+    Option.iter Thread.join t.supervisor_thread;
+    Option.iter Mt.Par.shutdown t.par;
+    Option.iter Thread.join t.housekeeper_thread;
+    (* 3. stop the loop: it final-flushes outbound residue and releases
+       every connection on its way out *)
+    t.loop_stop <- true;
+    wake t;
+    Option.iter Thread.join t.loop_thread;
+    (try Unix.close t.listener with Unix.Unix_error _ -> ());
+    (match t.cfg.bind with
+    | Unix_path path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+    | Tcp _ -> ());
+    (try Unix.close t.wake_wr with Unix.Unix_error _ -> ());
+    (* worker domains are parked: the shared table is quiescent, so the
+       arena can finally sweep unreferenced segment nodes *)
+    (match t.arena with Some a -> ignore (Arena.reclaim a ()) | None -> ());
+    Mutex.lock t.lock;
+    t.drained <- true;
+    Mutex.unlock t.lock
   end
 
 let run t ~stop =

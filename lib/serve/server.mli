@@ -1,7 +1,7 @@
 (** The BDD service: a Unix-domain / TCP front end over {!Proto}
     frames, dispatching onto a session-sharded {!Mt.Service} pool.
 
-    Threading model: the socket front end (see {!frontend}), a
+    Threading model: the socket front end (one event-loop thread), a
     housekeeper and (optionally) the pool supervisor are sys-threads on
     the main domain (they only do IO and registry work); the [workers]
     pool shards are OCaml domains.  A session is pinned to shard
@@ -9,16 +9,18 @@
     touched by one domain — hash-consing stays lock-free, and requests
     within a session execute in order.
 
-    With the default [Poll] front end one event-loop thread multiplexes
-    every connection through [Unix.select]: frames are parsed
+    The event loop multiplexes every connection through [Unix.select]
+    (so it is bounded by [FD_SETSIZE] — about a thousand concurrent
+    connections; [max_sessions] keeps it under that): frames are parsed
     incrementally off per-connection buffers, so clients may {e
     pipeline} requests (many frames in flight, or a {!Proto.encode_batch}
     envelope) and one slow peer costs a buffer, not a thread.  Replies
     are written opportunistically by the worker that computed them
     (non-blocking) with the loop flushing any residue — reply {e order}
     per session is still submission order, because a session's requests
-    all run on one shard.  [Threaded] restores the PR 5/9
-    one-blocking-reader-thread-per-connection shape.
+    all run on one shard.  A frame that does not decode draws one typed
+    [Error "protocol error: …"] reply, and the loop hangs up that
+    connection only.
 
     Admission control: each shard queue holds at most [queue_depth]
     weight.  A request arriving at a full queue is answered
@@ -45,9 +47,9 @@
     under the tighter of that and the configured per-request limits; a
     blown deadline is rescued by the {!Handler} degradation ladder
     (certificate rung ["deadline"]) or answered as a typed [Error].
-    {b Socket timeouts} ([io_timeout]) bound every read and write on an
-    accepted connection, so slow-loris peers and torn frames release the
-    reader instead of pinning it.  {b Durable sessions}: [Attach key]
+    {b Stall timeouts} ([io_timeout]): the loop drops a connection that
+    has sent nothing for that long, so slow-loris peers and torn frames
+    cost a buffer for a bounded time.  {b Durable sessions}: [Attach key]
     rebinds a connection to a keyed session that survives disconnects
     for [session_linger] seconds and is the unit of supervised recovery.
     {b Supervision} ([hang_timeout]): a background supervisor respawns a
@@ -71,22 +73,8 @@ type bind =
   | Unix_path of string  (** Unix-domain socket at this path *)
   | Tcp of int  (** loopback TCP; [0] picks an ephemeral port *)
 
-(** Socket front end. *)
-type frontend =
-  | Poll
-      (** one event-loop thread multiplexing all connections via
-          [Unix.select]: non-blocking sockets, incremental frame
-          parsing, pipelining-friendly.  The default.  (Bounded by
-          [FD_SETSIZE] — about a thousand concurrent connections; use
-          [max_sessions] to stay under it.) *)
-  | Threaded
-      (** one blocking reader thread per connection with socket-level
-          [SO_RCVTIMEO]/[SO_SNDTIMEO] timeouts — the PR 5/9 shape, kept
-          as a fallback and a differential oracle for [Poll] *)
-
 type config = {
   bind : bind;
-  frontend : frontend;
   workers : int;
   queue_depth : int;
   limits : Handler.limits;  (** per-request budgets *)
@@ -102,11 +90,13 @@ type config = {
           bit-identical).  1 (the default) keeps the historical
           one-domain-per-session kernel. *)
   io_timeout : float option;
-      (** socket read/write timeout (seconds) per accepted connection
-          ([SO_RCVTIMEO]/[SO_SNDTIMEO]).  [None] (default) keeps blocking
-          IO; a server exposed to untrusted or chaotic peers should set
-          it — an idle-but-healthy connection that trips it simply
-          reconnects. *)
+      (** stall timeout (seconds): the event loop keeps each
+          connection's last-receive time and drops a connection that has
+          sent no byte for longer than this, counting it in
+          [serve.io_timeouts].  [None] (default) never drops an idle
+          connection; a server exposed to untrusted or chaotic peers
+          should set it — an idle-but-healthy connection that trips it
+          simply reconnects. *)
   hang_timeout : float option;
       (** supervisor trigger: respawn a worker domain busy on a single
           request for longer than this many seconds ([None] = no
@@ -129,10 +119,9 @@ type config = {
 }
 
 val default_config : config
-(** [Poll] front end, 4 workers, queue depth 64, no limits, 1024
-    sessions, 1 par job, Unix path ["bdd-serve.sock"], no io/hang
-    timeouts, 30 s session linger, no table capacity, no spool, no
-    arena. *)
+(** 4 workers, queue depth 64, no limits, 1024 sessions, 1 par job,
+    Unix path ["bdd-serve.sock"], no io/hang timeouts, 30 s session
+    linger, no table capacity, no spool, no arena. *)
 
 type t
 

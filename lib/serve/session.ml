@@ -296,184 +296,78 @@ let rebuild ?shared ?table_capacity ?arena ?key ~id entries =
    over everything before it — the Resil.Checkpoint trailer discipline,
    written through its atomic temp+fsync+rename primitive. *)
 
-let add_varint buf n =
-  let rec go n =
-    if n < 0x80 then Buffer.add_char buf (Char.chr n)
-    else begin
-      Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7f)));
-      go (n lsr 7)
-    end
-  in
-  if n < 0 then invalid_arg "Session journal: negative varint";
-  go n
-
-let add_str buf s =
-  add_varint buf (String.length s);
-  Buffer.add_string buf s
-
-let add_list buf f xs =
-  add_varint buf (List.length xs);
-  List.iter (f buf) xs
-
-let add_op buf op =
-  match op with
-  | Proto.Not a ->
-      add_varint buf 0;
-      add_varint buf a
-  | Proto.And (a, b) ->
-      add_varint buf 1;
-      add_varint buf a;
-      add_varint buf b
-  | Proto.Or (a, b) ->
-      add_varint buf 2;
-      add_varint buf a;
-      add_varint buf b
-  | Proto.Xor (a, b) ->
-      add_varint buf 3;
-      add_varint buf a;
-      add_varint buf b
-  | Proto.Ite (a, b, c) ->
-      add_varint buf 4;
-      add_varint buf a;
-      add_varint buf b;
-      add_varint buf c
-  | Proto.Exists (vs, a) ->
-      add_varint buf 5;
-      add_list buf add_varint vs;
-      add_varint buf a
-  | Proto.Forall (vs, a) ->
-      add_varint buf 6;
-      add_list buf add_varint vs;
-      add_varint buf a
-
 let add_entry buf e =
   match e with
   | J_lit { handle; var; phase } ->
-      add_varint buf 0;
-      add_varint buf handle;
-      add_varint buf var;
-      Buffer.add_char buf (if phase then '\001' else '\000')
+      Codec.add_varint buf 0;
+      Codec.add_varint buf handle;
+      Codec.add_varint buf var;
+      Codec.add_bool buf phase
   | J_op { handle; op } ->
-      add_varint buf 1;
-      add_varint buf handle;
-      add_op buf op
+      Codec.add_varint buf 1;
+      Codec.add_varint buf handle;
+      Proto.add_op buf op
   | J_bytes { handle; bdd } ->
-      add_varint buf 2;
-      add_varint buf handle;
-      add_str buf bdd
+      Codec.add_varint buf 2;
+      Codec.add_varint buf handle;
+      Codec.add_str buf bdd
   | J_compile { name; blif; handles } ->
-      add_varint buf 3;
-      add_str buf name;
-      add_str buf blif;
-      add_list buf add_varint handles
+      Codec.add_varint buf 3;
+      Codec.add_str buf name;
+      Codec.add_str buf blif;
+      Codec.add_list buf Codec.add_varint handles
   | J_model { name; blif } ->
-      add_varint buf 4;
-      add_str buf name;
-      add_str buf blif
+      Codec.add_varint buf 4;
+      Codec.add_str buf name;
+      Codec.add_str buf blif
   | J_free hs ->
-      add_varint buf 5;
-      add_list buf add_varint hs
+      Codec.add_varint buf 5;
+      Codec.add_list buf Codec.add_varint hs
 
 let journal_to_string entries =
   let buf = Buffer.create 256 in
   Buffer.add_string buf "BSJ1";
-  add_list buf add_entry entries;
+  Codec.add_list buf add_entry entries;
   let body = Buffer.contents buf in
-  let crc = Resil.Checkpoint.crc32 body in
-  let trailer = Bytes.create 4 in
-  Bytes.set_int32_le trailer 0 (Int32.of_int crc);
-  body ^ Bytes.to_string trailer
+  Buffer.add_int32_le buf (Int32.of_int (Resil.Checkpoint.crc32 body));
+  Buffer.contents buf
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Bdd.Corrupt m)) fmt
 
-type reader = { s : string; mutable pos : int }
-
-let r_byte r =
-  if r.pos >= String.length r.s then corrupt "journal truncated";
-  let c = Char.code r.s.[r.pos] in
-  r.pos <- r.pos + 1;
-  c
-
-let r_varint r =
-  let rec go shift acc =
-    if shift > 62 then corrupt "journal varint overflow";
-    let b = r_byte r in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
-
-let r_str r =
-  let n = r_varint r in
-  if n < 0 || r.pos + n > String.length r.s then corrupt "journal truncated";
-  let s = String.sub r.s r.pos n in
-  r.pos <- r.pos + n;
-  s
-
-let r_list r f =
-  let n = r_varint r in
-  if n < 0 || n > 1_000_000 then corrupt "journal list length %d" n;
-  List.init n (fun _ -> f r)
-
-let r_op r =
-  match r_varint r with
-  | 0 -> Proto.Not (r_varint r)
-  | 1 ->
-      let a = r_varint r in
-      Proto.And (a, r_varint r)
-  | 2 ->
-      let a = r_varint r in
-      Proto.Or (a, r_varint r)
-  | 3 ->
-      let a = r_varint r in
-      Proto.Xor (a, r_varint r)
-  | 4 ->
-      let a = r_varint r in
-      let b = r_varint r in
-      Proto.Ite (a, b, r_varint r)
-  | 5 ->
-      let vs = r_list r r_varint in
-      Proto.Exists (vs, r_varint r)
-  | 6 ->
-      let vs = r_list r r_varint in
-      Proto.Forall (vs, r_varint r)
-  | n -> corrupt "journal op tag %d" n
-
 let r_entry r =
-  match r_varint r with
+  match Codec.varint r with
   | 0 ->
-      let handle = r_varint r in
-      let var = r_varint r in
-      J_lit { handle; var; phase = r_byte r <> 0 }
+      let handle = Codec.varint r in
+      let var = Codec.varint r in
+      J_lit { handle; var; phase = Codec.bool r }
   | 1 ->
-      let handle = r_varint r in
-      J_op { handle; op = r_op r }
+      let handle = Codec.varint r in
+      J_op { handle; op = Proto.read_op r }
   | 2 ->
-      let handle = r_varint r in
-      J_bytes { handle; bdd = r_str r }
+      let handle = Codec.varint r in
+      J_bytes { handle; bdd = Codec.str r }
   | 3 ->
-      let name = r_str r in
-      let blif = r_str r in
-      J_compile { name; blif; handles = r_list r r_varint }
+      let name = Codec.str r in
+      let blif = Codec.str r in
+      J_compile { name; blif; handles = Codec.list r Codec.varint }
   | 4 ->
-      let name = r_str r in
-      J_model { name; blif = r_str r }
-  | 5 -> J_free (r_list r r_varint)
-  | n -> corrupt "journal entry tag %d" n
+      let name = Codec.str r in
+      J_model { name; blif = Codec.str r }
+  | 5 -> J_free (Codec.list r Codec.varint)
+  | n -> Codec.fail r "unknown entry tag %d" n
 
 let journal_of_string s =
   let len = String.length s in
   if len < 8 then corrupt "journal too short";
   let body = String.sub s 0 (len - 4) in
-  let crc =
-    Int32.to_int (Bytes.get_int32_le (Bytes.of_string s) (len - 4))
-    land 0xFFFFFFFF
-  in
+  let crc = Int32.to_int (String.get_int32_le s (len - 4)) land 0xFFFFFFFF in
   if Resil.Checkpoint.crc32 body <> crc then corrupt "journal checksum mismatch";
   if String.sub body 0 4 <> "BSJ1" then corrupt "journal bad magic";
-  let r = { s = body; pos = 4 } in
-  let entries = r_list r r_entry in
-  if r.pos <> String.length body then corrupt "journal trailing bytes";
+  let r =
+    Codec.reader ~pos:4 body ~fail:(fun m -> Bdd.Corrupt ("journal: " ^ m))
+  in
+  let entries = Codec.list r r_entry in
+  Codec.finish r;
   entries
 
 let journal_save t path =

@@ -167,8 +167,9 @@ val rebuild :
 
 val journal_to_string : journal_entry list -> string
 val journal_of_string : string -> journal_entry list
-(** Checksummed ["BSJ1"] encoding; [journal_of_string] raises
-    {!Bdd.Corrupt} on truncation, bit flips, or trailing bytes. *)
+(** Checksummed ["BSJ1"] encoding over {!Codec}; [journal_of_string]
+    raises {!Bdd.Corrupt}, and nothing else, on truncation, bit flips,
+    trailing bytes, or a count or length beyond the bytes left. *)
 
 val journal_save : t -> string -> unit
 (** Atomic checksummed write of {!journal} via

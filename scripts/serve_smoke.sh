@@ -28,7 +28,7 @@ LOADGEN=_build/default/bench/loadgen.exe
 OBS_CHECK=_build/default/bin/obs_check.exe
 
 mkdir -p "$SMOKE"
-rm -f "$SMOKE"/serve*.sock "$SMOKE"/serve_*.json
+rm -f "$SMOKE"/serve*.sock "$SMOKE"/serve_*.json "$SMOKE"/BENCH_serve.json
 
 wait_for_socket() {
     local sock=$1
@@ -60,13 +60,14 @@ SERVER_PID=$!
 wait_for_socket "$SMOKE/serve.sock"
 
 "$CLIENT" --socket "$SMOKE/serve.sock" ping
-"$LOADGEN" --socket "$SMOKE/serve.sock" --smoke --seed 7 -o BENCH_serve.json
+"$LOADGEN" --socket "$SMOKE/serve.sock" --smoke --seed 7 \
+    -o "$SMOKE/BENCH_serve.json"
 "$CLIENT" --socket "$SMOKE/serve.sock" stats > "$SMOKE/serve_stats.txt"
 
 terminate "$SERVER_PID" "server"
 cat "$SMOKE/serve_phase1.log"
 
-"$OBS_CHECK" --serve-bench BENCH_serve.json
+"$OBS_CHECK" --serve-bench "$SMOKE/BENCH_serve.json"
 "$OBS_CHECK" --metrics "$SMOKE/serve_metrics.json" \
     --trace "$SMOKE/serve_trace.json" --min-tracks 4
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # SLO-asserted soak smoke of the robust serve stack (make soak-smoke).
 #
-# One server with every robustness feature on — socket IO timeouts, a
+# One server with every robustness feature on — stall timeouts, a
 # worker supervisor, a bounded node table, session-journal spooling —
 # under seeded kernel faults, plus a deliberately wedged worker domain
 # mid-run (--hang-worker-after).  Against it, the open-loop soak load
@@ -34,7 +34,8 @@ OBS_CHECK=_build/default/bin/obs_check.exe
 SOAK_SECS=${SOAK_SECS:-6}
 
 mkdir -p "$SMOKE" "$SMOKE/soak_spool"
-rm -f "$SMOKE"/soak*.sock "$SMOKE"/soak_*.json "$SMOKE"/soak_spool/*
+rm -f "$SMOKE"/soak*.sock "$SMOKE"/soak_*.json "$SMOKE"/soak_spool/* \
+    "$SMOKE"/BENCH_serve_soak.json
 
 wait_for_socket() {
     local sock=$1
@@ -61,7 +62,7 @@ wait_for_socket "$SMOKE/soak.sock"
     --soak "$SOAK_SECS" --arrival-rate 250 --churn 40 \
     --deadline-ms 500 --slo-p99-ms 2000 --seed 7 --expect-faults \
     --faults 'seed=7,wire_cut=0.01,wire_flip=0.01,wire_stall=0.005,wire_delay=0.01' \
-    -o BENCH_serve_soak.json
+    -o "$SMOKE/BENCH_serve_soak.json"
 
 # SIGTERM after the soak must still drain gracefully (exit 0)
 kill -TERM "$SERVER_PID"
@@ -81,7 +82,7 @@ if [ -z "$RESPAWNS" ] || [ "$RESPAWNS" -eq 0 ]; then
     exit 1
 fi
 
-"$OBS_CHECK" --serve-bench BENCH_serve_soak.json \
+"$OBS_CHECK" --serve-bench "$SMOKE/BENCH_serve_soak.json" \
     --metrics "$SMOKE/soak_metrics.json"
 
 echo "soak_smoke: OK (respawns=$RESPAWNS, SLO held, server survived)"

@@ -218,6 +218,27 @@ let test_legacy_bdd1 () =
       | _ -> Alcotest.fail "legacy BDD1: expected one root")
     Dd.all_modes
 
+(* a nine-byte varint whose ninth byte sets the sign bit, wherever a
+   DDC1 frame holds a count or a field *)
+let test_negative_varints () =
+  let neg9 = "\x80\x80\x80\x80\x80\x80\x80\x80\x40" in
+  List.iter
+    (fun (what, frame) ->
+      match Dd.serialized_of_string frame with
+      | exception Dd.Corrupt _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: expected Dd.Corrupt, got %s" what
+            (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: accepted" what)
+    [
+      ("mode", "DDC1" ^ neg9);
+      ("variable count", "DDC1\x00" ^ neg9);
+      ("node count", "DDC1\x00\x02" ^ neg9);
+      ("node field", "DDC1\x00\x02\x01" ^ neg9 ^ "\x00\x01\x00\x01\x02");
+      ("root count", "DDC1\x00\x02\x00" ^ neg9);
+      ("root", "DDC1\x00\x02\x00\x01" ^ neg9);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Compression unit tests                                               *)
 (* ------------------------------------------------------------------ *)
@@ -311,6 +332,8 @@ let tests =
       prop_cross_mode_import;
       prop_corruption;
       Alcotest.test_case "legacy BDD1 frames" `Quick test_legacy_bdd1;
+      Alcotest.test_case "a negative nine-byte varint is Corrupt" `Quick
+        test_negative_varints;
       Alcotest.test_case "chain compression" `Quick test_chain_compression;
       prop_chain_accounting;
       prop_shared_table;

@@ -114,7 +114,16 @@ let test_corrupt_strings () =
       (* announces 2^40 nodes in a few bytes: must be rejected before any
          allocation, not after *)
       Bdd.serialized_of_string
-        ("BDD1" ^ "\x00" ^ "\x80\x80\x80\x80\x80\x80\x80\x80\x20"))
+        ("BDD1" ^ "\x00" ^ "\x80\x80\x80\x80\x80\x80\x80\x80\x20"));
+  (* a nine-byte count whose ninth byte sets the sign bit: a negative
+     count must fail as Corrupt, not reach an allocation *)
+  let neg9 = "\x80\x80\x80\x80\x80\x80\x80\x80\x40" in
+  check_corrupt "negative variable count" (fun () ->
+      Bdd.serialized_of_string ("BDD1" ^ neg9));
+  check_corrupt "negative node count" (fun () ->
+      Bdd.serialized_of_string ("BDD1" ^ "\x00" ^ neg9));
+  check_corrupt "negative root count" (fun () ->
+      Bdd.serialized_of_string ("BDD1" ^ "\x00\x00" ^ neg9))
 
 let test_corrupt_records () =
   let man = Bdd.create () in

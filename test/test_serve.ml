@@ -698,6 +698,75 @@ let test_ping_and_graceful_drain () =
   Serve.Server.drain t;
   Alcotest.(check int) "no sessions after drain" 0 (Serve.Server.sessions t)
 
+(* --- the event loop against a direct call --------------------------------- *)
+
+(* The server is Handler.handle behind the event loop: a seeded sequence
+   of requests sent over one connection must draw the same reply frames,
+   byte for byte, as the same sequence fed to Handler.handle on an
+   in-process session.  Unknown and freed handles ride along, so Error
+   replies are compared too.  Stats stays out: it carries server
+   counters. *)
+let test_direct_call_oracle () =
+  let nvars = 8 in
+  let rng = Random.State.make [| 2024 |] in
+  let int n = Random.State.int rng n and bool () = Random.State.bool rng in
+  let local = Serve.Session.create ~id:0 () in
+  let live = ref [] in
+  let handle () =
+    match !live with
+    | _ when int 20 = 0 -> 1000 + int 50 (* never handed out *)
+    | [] -> 1
+    | hs -> List.nth hs (int (List.length hs))
+  in
+  let vars () = List.filter (fun _ -> int 3 = 0) (List.init nvars Fun.id) in
+  let request () =
+    let open Serve.Proto in
+    match int 12 with
+    | 0 | 1 | 2 -> Lit { var = int nvars; phase = bool () }
+    | 3 -> Apply (Not (handle ()))
+    | 4 -> (
+        let a = handle () and b = handle () in
+        match int 3 with
+        | 0 -> Apply (And (a, b))
+        | 1 -> Apply (Or (a, b))
+        | _ -> Apply (Xor (a, b)))
+    | 5 ->
+        let a = handle () and b = handle () in
+        Apply (Ite (a, b, handle ()))
+    | 6 ->
+        let vs = vars () in
+        let a = handle () in
+        if bool () then Apply (Exists (vs, a)) else Apply (Forall (vs, a))
+    | 7 -> Count { handle = handle (); nvars }
+    | 8 -> Sat { handle = handle () }
+    | 9 ->
+        let methods = Approx.all_methods in
+        let meth = List.nth methods (int (List.length methods)) in
+        Approx { meth; threshold = int 12; handle = handle () }
+    | 10 -> Decomp { handle = handle (); disjunctive = bool () }
+    | _ ->
+        let h = handle () in
+        live := List.filter (( <> ) h) !live;
+        Free { handles = [ h ] }
+  in
+  with_server Serve.Server.default_config (fun t ->
+      with_client t (fun c ->
+          for i = 1 to 400 do
+            let req = request () in
+            let reply =
+              Serve.Handler.handle Serve.Handler.no_limits local req
+            in
+            Serve.Client.post c req;
+            Alcotest.(check string)
+              (Format.asprintf "request %d: %a" i Serve.Proto.pp_request req)
+              (Serve.Proto.encode_reply reply)
+              (Serve.Client.receive_frame c);
+            match reply with
+            | Serve.Proto.Handle { id; _ } -> live := id :: !live
+            | Serve.Proto.Pair { g; h; _ } -> live := g :: h :: !live
+            | _ -> ()
+          done))
+
 let tests =
   ( "serve",
     [
@@ -733,4 +802,6 @@ let tests =
         test_compile_reach_counter;
       Alcotest.test_case "ping and graceful, idempotent drain" `Quick
         test_ping_and_graceful_drain;
+      Alcotest.test_case "the server's reply frames = Handler.handle's"
+        `Quick test_direct_call_oracle;
     ] )

@@ -112,13 +112,45 @@ let test_stalled_sender_times_out () =
       with_raw t (fun fd ->
           let frame = Serve.Proto.encode_request Serve.Proto.Ping in
           send_all fd (String.sub frame 0 (String.length frame / 2));
-          (* ...and stall.  The server's SO_RCVTIMEO must fire and close
-             the connection; our bounded read sees the hangup. *)
+          (* ...and stall.  The server's stall timeout must fire and
+             close the connection; our bounded read sees the hangup. *)
           ignore (read_to_eof fd));
       Alcotest.(check bool)
         "the server counted an io timeout" true
         (Serve.Server.io_timeouts t >= 1);
       server_still_answers t)
+
+(* A frame whose checksum is valid but whose body announces a negative
+   length: Compile (opcode 5) with a name length of nine bytes, the ninth
+   setting the sign bit of an OCaml int.  The frame reaches the body
+   decoder, which must answer a typed protocol error — a decoder that
+   let Invalid_argument escape would kill the event loop, and no later
+   connection would be answered. *)
+let negative_length_frame () =
+  Test_codec.seal_frame "\x05\x80\x80\x80\x80\x80\x80\x80\x80\x40"
+
+let test_negative_length_is_typed_error () =
+  with_server Serve.Server.default_config (fun t ->
+      let frame = negative_length_frame () in
+      Alcotest.(check int) "a 23-byte frame" 23 (String.length frame);
+      with_raw t (fun fd ->
+          send_all fd frame;
+          match Serve.Proto.decode_reply (read_to_eof fd) with
+          | Serve.Proto.Error m ->
+              Alcotest.(check bool)
+                "the Error names a protocol error" true
+                (String.length m >= 14 && String.sub m 0 14 = "protocol error")
+          | r -> Alcotest.failf "the frame drew %a" Serve.Proto.pp_reply r);
+      (* a second connection, on raw bounded reads so that a dead event
+         loop fails the test instead of hanging it *)
+      with_raw t (fun fd ->
+          send_all fd (Serve.Proto.encode_request Serve.Proto.Ping);
+          match Serve.Proto.read_frame fd with
+          | Some reply -> (
+              match Serve.Proto.decode_reply reply with
+              | Serve.Proto.Pong -> ()
+              | r -> Alcotest.failf "Ping drew %a" Serve.Proto.pp_reply r)
+          | None -> Alcotest.fail "the server hung up on a Ping"))
 
 (* --- a killed worker must not lose other sessions ----------------------- *)
 
@@ -243,6 +275,27 @@ let test_journal_roundtrip_and_corruption () =
   | _ -> Alcotest.fail "corrupt journal decoded"
   | exception Bdd.Corrupt _ -> ()
 
+(* a negative nine-byte count or length behind a valid checksum: the
+   journal reader must answer Corrupt, whatever it was counting *)
+let test_journal_negative_counts () =
+  let neg9 = "\x80\x80\x80\x80\x80\x80\x80\x80\x40" in
+  let seal body = body ^ Test_codec.le32 (Resil.Checkpoint.crc32 body) in
+  List.iter
+    (fun (what, body) ->
+      match Serve.Session.journal_of_string (seal body) with
+      | exception Bdd.Corrupt _ -> ()
+      | exception e ->
+          Alcotest.failf "%s: expected Bdd.Corrupt, got %s" what
+            (Printexc.to_string e)
+      | _ -> Alcotest.failf "%s: accepted" what)
+    [
+      ("entry count", "BSJ1" ^ neg9);
+      ("bytes length", "BSJ1\x01\x02\x01" ^ neg9);
+      ("free list count", "BSJ1\x01\x05" ^ neg9);
+      ("exists list count", "BSJ1\x01\x01\x01\x05" ^ neg9);
+      ("lit handle", "BSJ1\x01\x00" ^ neg9 ^ "\x00\x01");
+    ]
+
 let test_journal_compacts_only_when_it_shrinks () =
   (* a session holding more live handles than the compaction cap must not
      re-compact on every record: compaction rewrites the journal to one
@@ -327,12 +380,17 @@ let tests =
         test_bit_flipped_frame_is_typed_error;
       Alcotest.test_case "a stalled sender trips the io timeout" `Quick
         test_stalled_sender_times_out;
+      Alcotest.test_case
+        "a negative length draws a protocol error, the loop serves on"
+        `Quick test_negative_length_is_typed_error;
       Alcotest.test_case "a killed worker loses no session state" `Quick
         test_worker_kill_preserves_sessions;
       Alcotest.test_case "journals round-trip and reject corruption" `Quick
         test_journal_roundtrip_and_corruption;
       Alcotest.test_case "journal compaction fires only when it shrinks" `Quick
         test_journal_compacts_only_when_it_shrinks;
+      Alcotest.test_case "a journal with a negative count is Corrupt" `Quick
+        test_journal_negative_counts;
       Alcotest.test_case "stale socket files are reclaimed, live ones are not"
         `Quick test_stale_socket_is_reclaimed;
     ] )
