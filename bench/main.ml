@@ -28,7 +28,7 @@
    hardware, simulator substrate); the *shape* -- who wins, by what rough
    factor -- is what EXPERIMENTS.md tracks. *)
 
-let jobs = ref (Mt.Runner.default_jobs ())
+let jobs = ref (Mt.Par.recommended ())
 
 (* --faults SPEC arms injection and flips the runner fan-outs to
    supervised retries; stdout stays byte-identical when unused *)

@@ -4,9 +4,11 @@
    One pool = [workers - 1] helper domains plus whichever domain calls
    into it: a caller that joins a pending future does not block, it runs
    other tasks (a "helping" join), so the caller is always the pool's
-   extra worker.  Tasks are forked by the parallel apply/ITE recursions in
-   {!Bdd} above a depth cutoff, so their number per operation is small and
-   bounded; the mutex-guarded {!Wsdeque} per slot is plenty.
+   extra worker.  Two kinds of callers fork here: the parallel apply/ITE
+   recursions in {!Bdd}, a bounded number of tasks per operation above a
+   depth cutoff, and [Mt.Runner], one root task per job.  Either way
+   tasks are few and coarse, so the mutex-guarded {!Wsdeque} per slot is
+   plenty; this pool is that deque's only user.
 
    Claim protocol.  A future holds one atomic state cell:
 

@@ -1,16 +1,19 @@
 (** Fork/join task pool over work-stealing deques.
 
-    The execution substrate of the parallel kernel operations
-    ({!Bdd.par_apply}, {!Bdd.par_ite}, {!Bdd.par_exist_and}): a fixed set
-    of helper domains plus the calling domain, fed through per-slot
-    {!Wsdeque}s.  Joining a pending future {e helps} — the joiner runs
-    other queued tasks instead of blocking — so fork/join trees of any
-    depth cannot deadlock on a finite pool, and a pool of size 1 simply
-    runs everything inline.
+    The repository's one work-stealing scheduler: the execution substrate
+    of the parallel kernel operations ({!Bdd.par_apply}, {!Bdd.par_ite},
+    {!Bdd.par_exist_and}) and of [Mt.Runner], whose jobs are root tasks
+    here.  A fixed set of helper domains plus the calling domain, fed
+    through per-slot {!Wsdeque}s.  Joining a pending future {e helps} —
+    the joiner runs other queued tasks instead of blocking — so fork/join
+    trees of any depth cannot deadlock on a finite pool, and a pool of
+    size 1 simply runs everything inline.
 
     A pool is manager-agnostic (tasks are plain thunks) and safe to share
-    between concurrent operations and managers.  Callers higher up the
-    stack usually want {!Mt.Par}, which adds metrics. *)
+    between concurrent operations and managers; a task may create, use and
+    shut down a pool of its own.  [Mt.Par] wraps a pool for the parallel
+    kernel's callers and exports its fork and steal counts as metrics at
+    shutdown. *)
 
 type t
 
@@ -40,10 +43,6 @@ val cancel : t -> 'a future -> unit
     return.  The exception-safety valve: call it on a pending fork before
     unwinding so no orphan task outlives the operation that forked it.
     Idempotent; a completed future is left untouched. *)
-
-val try_run_one : t -> bool
-(** Run one queued task if any (false when all deques are empty).  Lets
-    an idle external domain donate cycles to the pool. *)
 
 val shutdown : t -> unit
 (** Stop and join the helper domains.  Pending unclaimed tasks are not

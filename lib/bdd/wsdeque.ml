@@ -7,11 +7,11 @@
    the parallel-apply cutoff — so one uncontended lock per operation is
    noise next to the work itself and buys us none of the subtlety of a
    Chase–Lev buffer.  [steal] pays O(n) to reach the oldest element; n is
-   bounded by the items dealt to one worker.
+   bounded by the tasks forked onto one slot — at most a run's job count
+   when [Mt.Runner] forks every job from its caller.
 
-   This lives in lib/bdd (rather than lib/mt, where it started) so the
-   kernel's own fork/join pool ({!Tpool}) can use it; {!Mt.Deque} re-exports
-   it unchanged for the job runner. *)
+   {!Tpool} is its only user; the job runner reaches it through that
+   pool. *)
 
 type 'a t = { lock : Mutex.t; mutable items : 'a list (* head = bottom *) }
 

@@ -1,6 +1,6 @@
-(** Work-stealing deque shared by {!Tpool} and [Mt.Runner]: the owning
-    worker pushes and pops LIFO at the bottom, thieves steal FIFO from the
-    top.  Safe for concurrent use from any number of domains. *)
+(** Work-stealing deque of {!Tpool}, its only user: the owning worker
+    pushes and pops LIFO at the bottom, thieves steal FIFO from the top.
+    Safe for concurrent use from any number of domains. *)
 
 type 'a t
 

@@ -77,7 +77,7 @@ let product_entries_of_circuit ~min_nodes c =
       if Bdd.size f >= min_nodes then Some { man; f; label; nvars } else None)
     (triples 0 (List.map snd compiled.Compile.output_fns))
 
-let build ?(min_nodes = 500) ?(circuits = None) ?jobs () =
+let build ?(min_nodes = 500) ?circuits ~jobs () =
   Obs.Trace.with_span "pool.build" @@ fun () ->
   let circuits =
     match circuits with
@@ -95,21 +95,17 @@ let build ?(min_nodes = 500) ?(circuits = None) ?jobs () =
             product_entries_of_circuit ~min_nodes c))
         (default_random ())
   in
-  match jobs with
-  | None -> List.concat_map (fun (_, t) -> t ()) tasks
-  | Some jobs ->
-      Mt.Runner.run ~jobs
-        (List.map
-           (fun (label, t) -> Mt.Runner.job ~label (fun _man -> t ()))
-           tasks)
-      |> List.concat_map (fun (r : _ Mt.Runner.result) ->
-             match r.Mt.Runner.outcome with
-             | Mt.Runner.Done entries -> entries
-             | o ->
-                 failwith
-                   (Format.asprintf "Pool.build: job %s %a"
-                      r.Mt.Runner.report.Mt.Runner.label Mt.Runner.pp_outcome
-                      o))
+  Mt.Runner.run ~jobs
+    (List.map
+       (fun (label, t) -> Mt.Runner.job ~label (fun _man -> t ()))
+       tasks)
+  |> List.concat_map (fun (r : _ Mt.Runner.result) ->
+         match r.Mt.Runner.outcome with
+         | Mt.Runner.Done entries -> entries
+         | o ->
+             failwith
+               (Format.asprintf "Pool.build: job %s %a"
+                  r.Mt.Runner.report.Mt.Runner.label Mt.Runner.pp_outcome o))
 
 let describe entries =
   let sizes = List.map (fun e -> float_of_int (Bdd.size e.f)) entries in

@@ -18,16 +18,13 @@ val product_entries_of_circuit : min_nodes:int -> Circuit.t -> entry list
     comment in the implementation and EXPERIMENTS.md). *)
 
 val build :
-  ?min_nodes:int ->
-  ?circuits:Circuit.t list option ->
-  ?jobs:int ->
-  unit ->
-  entry list
-(** The default pool: synthetic sequential circuits, structured random
-    netlists, and sparse output-products, filtered at [min_nodes]
-    (default 500).  With [jobs], circuit compilations fan out over an
-    {!Mt.Runner} worker pool (one private manager per circuit either way);
-    the entry list is the same, in the same order, for every [jobs]
-    value. *)
+  ?min_nodes:int -> ?circuits:Circuit.t list -> jobs:int -> unit -> entry list
+(** The default pool: the functions of [circuits] (default: the synthetic
+    sequential circuits and the structured random netlists) plus the
+    sparse output-products of the random netlists, filtered at
+    [min_nodes] (default 500).  Circuit compilations fan out over
+    {!Mt.Runner} on [jobs] workers ([jobs = 1] runs them in the calling
+    domain), one private manager per circuit; the entry list is the same,
+    in the same order, for every [jobs] value. *)
 
 val describe : entry list -> string

@@ -2,68 +2,41 @@
 
    Mt.Runner parallelizes *across* jobs, each on a private manager; Par
    hands a set of workers to *one* large operation on a shared manager
-   instead.  The two compose — a Runner worker may create a Par pool for
-   an oversized request — but nothing here depends on the runner.
+   instead.  The two compose — a Runner job may create a Par pool for an
+   oversized request, a Tpool task creating and joining a second Tpool —
+   but nothing here depends on the runner.
 
-   Fork/steal counts accumulate inside the Tpool; [flush] exports the
-   delta since the previous flush to the [mt.par_tasks] / [mt.par_steals]
-   counters of the metrics registry.  The wrapped operations flush after
-   every call, so metrics track pool activity without the pool having to
-   know about metrics on its hot path. *)
+   Fork/steal counts accumulate inside the Tpool; [shutdown] exports them
+   to the [mt.par_tasks] / [mt.par_steals] counters of the default
+   metrics registry, so metrics track pool activity without the pool
+   having to know about metrics on its hot path. *)
 
 type t = {
   pool : Tpool.t;
-  lock : Mutex.t; (* guards [last] against concurrent flushes *)
-  mutable last : int * int; (* (forks, steals) already exported *)
   par_tasks : Obs.Metrics.counter;
   par_steals : Obs.Metrics.counter;
 }
 
-let create ?(registry = Obs.Metrics.default) ~jobs () =
+let create ~jobs () =
   {
     pool = Tpool.create ~workers:jobs;
-    lock = Mutex.create ();
-    last = (0, 0);
-    par_tasks = Obs.Metrics.counter registry "mt.par_tasks";
-    par_steals = Obs.Metrics.counter registry "mt.par_steals";
+    par_tasks = Obs.Metrics.counter Obs.Metrics.default "mt.par_tasks";
+    par_steals = Obs.Metrics.counter Obs.Metrics.default "mt.par_steals";
   }
 
 let pool t = t.pool
-let size t = Tpool.size t.pool
-
-let flush t =
-  if Obs.Metrics.recording () then begin
-    Mutex.lock t.lock;
-    let forks, _execs, steals = Tpool.stats t.pool in
-    let f0, s0 = t.last in
-    t.last <- (forks, steals);
-    Mutex.unlock t.lock;
-    Obs.Metrics.inc t.par_tasks (forks - f0);
-    Obs.Metrics.inc t.par_steals (steals - s0)
-  end
 
 let shutdown t =
-  flush t;
+  if Obs.Metrics.recording () then begin
+    let forks, _execs, steals = Tpool.stats t.pool in
+    Obs.Metrics.inc t.par_tasks forks;
+    Obs.Metrics.inc t.par_steals steals
+  end;
   Tpool.shutdown t.pool
 
-let with_pool ?registry ~jobs fn =
-  let t = create ?registry ~jobs () in
+let with_pool ~jobs fn =
+  let t = create ~jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> fn t)
-
-let apply t man op f g =
-  let r = Bdd.par_apply t.pool man op f g in
-  flush t;
-  r
-
-let ite t man f g h =
-  let r = Bdd.par_ite t.pool man f g h in
-  flush t;
-  r
-
-let exist_and t man ~vars f g =
-  let r = Bdd.par_exist_and t.pool man ~vars f g in
-  flush t;
-  r
 
 let recommended () = Domain.recommended_domain_count ()
 

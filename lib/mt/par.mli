@@ -6,42 +6,30 @@
     use it for parallel image computation, the serve layer for oversized
     single requests.
 
-    A [Par.t] wraps a {!Tpool.t} and exports its fork/steal activity to
-    the [mt.par_tasks] and [mt.par_steals] counters of {!Obs.Metrics}
-    (delta-flushed after every wrapped operation, branch-gated on
-    {!Obs.Metrics.recording}). *)
+    A [Par.t] wraps a {!Tpool.t}; {!shutdown} exports the pool's fork and
+    steal totals to the [mt.par_tasks] and [mt.par_steals] counters of
+    {!Obs.Metrics.default} (branch-gated on {!Obs.Metrics.recording}). *)
 
 type t
 
-val create : ?registry:Obs.Metrics.t -> jobs:int -> unit -> t
+val create : jobs:int -> unit -> t
 (** Spawn a pool of [jobs] workers ([jobs - 1] helper domains; clamped to
-    at least 1).  Metrics handles register against [registry] (default
-    {!Obs.Metrics.default}). *)
+    at least 1). *)
 
-val with_pool : ?registry:Obs.Metrics.t -> jobs:int -> (t -> 'a) -> 'a
+val with_pool : jobs:int -> (t -> 'a) -> 'a
 (** [create], run the function, always {!shutdown}. *)
 
 val shutdown : t -> unit
-(** Flush metrics and join the helper domains. *)
+(** Export the pool's metrics and join the helper domains.  Call it
+    once; the pool must not be used afterwards. *)
 
 val pool : t -> Tpool.t
-(** The underlying pool, for direct {!Bdd.par_apply} calls. *)
-
-val size : t -> int
-(** Worker count, including the calling domain. *)
-
-val apply : t -> Bdd.man -> [ `And | `Or | `Xor ] -> Bdd.t -> Bdd.t -> Bdd.t
-val ite : t -> Bdd.man -> Bdd.t -> Bdd.t -> Bdd.t -> Bdd.t
-val exist_and : t -> Bdd.man -> vars:Bdd.t -> Bdd.t -> Bdd.t -> Bdd.t
-(** {!Bdd.par_apply} / {!Bdd.par_ite} / {!Bdd.par_exist_and} with a
-    metrics flush after each call. *)
-
-val flush : t -> unit
-(** Export the fork/steal delta since the last flush.  A no-op unless
-    metrics recording is on. *)
+(** The underlying pool, for the [?pool] arguments of the reach engines
+    and the [Bdd.par_*] operations. *)
 
 val recommended : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
+(** [Domain.recommended_domain_count ()]; also {!Runner.run}'s default
+    worker count. *)
 
 val warn_oversubscribed : flag:string -> int -> bool
 (** [warn_oversubscribed ~flag jobs] prints a stderr warning and returns

@@ -1,16 +1,22 @@
-(* Work-stealing job runner on OCaml 5 domains.
+(* Supervised job runner on a work-stealing pool.
 
    Each job runs against a fresh private manager, so hash-consing stays
    lock-free: the unique table is replicated, never shared (DESIGN.md §MT).
    BDD operands enter a job through Bdd.import and only plain data (sizes,
    counts, strings) should leave it.
 
+   Scheduling is Tpool's: a run forks every job, wrapped in its supervision
+   ([exec_supervised]), as a root task of a pool of its own, and joins the
+   futures in submission order.  Helpers steal the oldest job; the caller
+   helps while it waits, so it is a worker too, and a one-worker pool runs
+   every job inline in the caller.
+
    Domains cannot be killed, so cancellation is cooperative but does not
    require the job's help: the node budget rides on Bdd.set_node_limit and
    the deadline on the Bdd.set_tick hook, both of which fire inside node
    creation — precisely where a runaway BDD job spends its time.
 
-   Supervision happens inside the worker that owns the job: a failed
+   Supervision happens inside the task that runs the job: a failed
    attempt sleeps (exponential backoff, jitter deterministic in the label
    and attempt so replays pace identically) and re-executes on a fresh
    manager.  The worker is blocked during the backoff on purpose — a
@@ -56,7 +62,6 @@ type 'a result = { outcome : 'a outcome; report : report }
 type 'a job = { label : string; budget : budget; work : Bdd.man -> 'a }
 
 let job ?(budget = no_budget) ~label work = { label; budget; work }
-let default_jobs () = Domain.recommended_domain_count ()
 
 exception Deadline
 
@@ -179,15 +184,35 @@ let exec_supervised retry j =
   in
   go 1
 
+(* Every helper domain gets a trace lane by construction, not by luck of
+   the steal: fork one marker per helper, each of which opens its
+   [mt.worker i] span and spins until every marker has started.  A
+   running marker holds its domain, so no helper takes two, and the
+   caller waits on the count instead of joining (a join would run a
+   marker inline), so none runs on the caller: each of the
+   [workers - 1] helpers runs exactly one. *)
+let mark_lanes pool workers =
+  let helpers = workers - 1 in
+  let started = Atomic.make 0 in
+  let all_started () =
+    while Atomic.get started < helpers do Domain.cpu_relax () done
+  in
+  let markers =
+    List.init helpers (fun _ ->
+        Tpool.fork pool (fun () ->
+            let i = 1 + Atomic.fetch_and_add started 1 in
+            Obs.Trace.with_span ("mt.worker " ^ string_of_int i) all_started))
+  in
+  all_started ();
+  List.iter (Tpool.join pool) markers
+
 let run ?jobs ?(retry = no_retry) js =
   if retry.max_attempts < 1 then invalid_arg "Mt.Runner.run: max_attempts < 1";
   (* without this, Crashed backtraces would be silently empty *)
   if not (Printexc.backtrace_status ()) then Printexc.record_backtrace true;
-  let js = Array.of_list js in
-  let n = Array.length js in
+  let n = List.length js in
   let workers =
-    let w = match jobs with Some w -> w | None -> default_jobs () in
-    max 1 (min w n)
+    max 1 (min (match jobs with Some w -> w | None -> Par.recommended ()) n)
   in
   if Obs.Metrics.recording () then begin
     Obs.Metrics.inc M.jobs n;
@@ -198,54 +223,24 @@ let run ?jobs ?(retry = no_retry) js =
     ~args:
       [ ("jobs", string_of_int n); ("workers", string_of_int workers) ]
     (fun () ->
-      let results = Array.make n None in
-      if workers <= 1 then
-        (* inline in the calling domain: no spawn cost, and the jobs=1
-           baseline runs the exact code path the parallel sweep runs *)
-        Array.iteri (fun i j -> results.(i) <- Some (exec_supervised retry j)) js
-      else begin
-        let deques = Array.init workers (fun _ -> Deque.create ()) in
-        (* deal newest-last so each worker starts on its lowest-index job *)
-        for i = n - 1 downto 0 do
-          Deque.push deques.(i mod workers) i
-        done;
-        (* distinct slots per worker, summed after the join *)
-        let stolen = Array.make workers 0 in
-        let worker w () =
-          let rec find k =
-            if k >= workers then None
-            else
-              let d = deques.((w + k) mod workers) in
-              match if k = 0 then Deque.pop d else Deque.steal d with
-              | Some i ->
-                  if k > 0 then stolen.(w) <- stolen.(w) + 1;
-                  Some i
-              | None -> find (k + 1)
+      let pool = Tpool.create ~workers in
+      Fun.protect
+        ~finally:(fun () -> Tpool.shutdown pool)
+        (fun () ->
+          if Obs.Trace.enabled () then mark_lanes pool workers;
+          let caller = Domain.self () and on_helpers = Atomic.make 0 in
+          let futures =
+            List.map
+              (fun j ->
+                Tpool.fork pool (fun () ->
+                    if Domain.self () <> caller then Atomic.incr on_helpers;
+                    exec_supervised retry j))
+              js
           in
-          let rec loop () =
-            match find 0 with
-            | Some i ->
-                (* distinct slots: no two workers ever write the same index *)
-                results.(i) <- Some (exec_supervised retry js.(i));
-                loop ()
-            | None -> ()
-                (* queues only drain — once every deque is empty no work can
-                   reappear, so the worker is done *)
-          in
-          (* the enclosing span guarantees each worker a trace lane even if
-             every one of its jobs is stolen before it starts *)
-          Obs.Trace.with_span ("mt.worker " ^ string_of_int w) loop
-        in
-        let spawned =
-          Array.init (workers - 1) (fun w -> Domain.spawn (worker (w + 1)))
-        in
-        worker 0 ();
-        Array.iter Domain.join spawned;
-        if Obs.Metrics.recording () then
-          Obs.Metrics.inc M.steals (Array.fold_left ( + ) 0 stolen)
-      end;
-      Array.to_list
-        (Array.map (function Some r -> r | None -> assert false) results))
+          let results = List.map (Tpool.join pool) futures in
+          if Obs.Metrics.recording () then
+            Obs.Metrics.inc M.steals (Atomic.get on_helpers);
+          results))
 
 let map ?jobs ?retry ?budget ~label f xs =
   run ?jobs ?retry

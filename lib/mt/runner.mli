@@ -1,14 +1,18 @@
-(** Work-stealing job runner on OCaml 5 domains.
+(** Supervised job runner on a work-stealing pool.
 
     Every job receives a {e fresh, private} {!Bdd.man}: the unique table
     and operation caches are replicated per job rather than shared, so
     hash-consing needs no locks (see DESIGN.md §MT).  Move BDDs into a job
-    with {!Bdd.import} / {!Transfer.copy}; return only plain data.
+    with {!Bdd.export} in the caller and {!Bdd.import} in the job (or
+    {!Bdd.export_list} / {!Bdd.import_list}, which keep the roots'
+    sharing); return only plain data.
 
-    Jobs are dealt round-robin to per-worker deques; idle workers steal
-    the oldest job of a busy neighbour.  Results always come back in
-    submission order, so output built from them is deterministic no matter
-    how the jobs were scheduled.
+    Each run forks its jobs as root tasks of a {!Tpool} of its own and
+    joins them in submission order: idle helper domains steal the oldest
+    queued job, and the calling domain runs jobs too while it waits.  The
+    runner spawns no domains besides the pool's helpers.  Results always
+    come back in submission order, so output built from them is
+    deterministic no matter how the jobs were scheduled.
 
     {2 Supervision}
 
@@ -26,13 +30,14 @@
     private manager.  Disarmed, both are a single atomic load.
 
     When {!Obs.Trace} or {!Obs.Metrics} recording is on, each run emits an
-    [mt.run] span, one [mt.worker] span per worker domain (so every worker
-    gets a Perfetto lane), a [job:<label>] span per job, and feeds the
+    [mt.run] span on the caller, one [mt.worker] span on each helper
+    domain before any job starts (so every worker gets a Perfetto lane),
+    a [job:<label>] span per job on whichever domain ran it, and feeds the
     [mt.*] counters/histograms of {!Obs.Metrics.default} (per-attempt job
-    outcomes, [mt.retries], [mt.quarantined], steal counts, wall-time and
-    peak-node distributions).  Job managers get an {!Obs.Kernel} observer.
-    All of it is branch-gated: disabled, the runner behaves and times
-    exactly as before. *)
+    outcomes, [mt.retries], [mt.quarantined], [mt.steals] — the jobs that
+    ran on a helper — wall-time and peak-node distributions).  Job
+    managers get an {!Obs.Kernel} observer.  All of it is branch-gated:
+    disabled, the runner behaves and times exactly as before. *)
 
 type budget = {
   deadline : float option;  (** wall-clock seconds, enforced via {!Bdd.set_tick} *)
@@ -88,9 +93,9 @@ type 'a job
 val job : ?budget:budget -> label:string -> (Bdd.man -> 'a) -> 'a job
 
 val run : ?jobs:int -> ?retry:retry -> 'a job list -> 'a result list
-(** Execute the jobs on [jobs] workers (default
-    {!default_jobs}; clamped to the job count).  [jobs = 1] runs inline in
-    the calling domain.  Results are in submission order.  [retry]
+(** Execute the jobs on [jobs] workers (default {!Par.recommended};
+    clamped to the job count).  [jobs = 1] runs inline in the calling
+    domain.  Results are in submission order.  [retry]
     (default {!no_retry}) supervises every job of the run.  Backtrace
     recording is switched on for the process if it was off, so [Crashed]
     outcomes carry a trace. *)
@@ -107,9 +112,6 @@ val map :
 
 val value : 'a result -> 'a option
 (** The payload of a [Done] outcome. *)
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
 
 val pp_outcome : Format.formatter -> 'a outcome -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -52,8 +52,9 @@ for mode in bdd zdd cbdd czdd; do
             exit 1 ;;
     esac
 done
-"$OBS_CHECK" --metrics "$SMOKE"/compress_metrics.json | tee /dev/stderr \
-    | grep -q "metrics" \
+metrics=$("$OBS_CHECK" --metrics "$SMOKE"/compress_metrics.json)
+echo "$metrics" >&2
+grep -q "metrics" <<< "$metrics" \
     || { echo "compress_smoke: metrics snapshot invalid" >&2; exit 1; }
 grep -q "bdd.stats.chain_mk" "$SMOKE"/compress_metrics.json \
     || { echo "compress_smoke: metrics carry no chain counters" >&2; exit 1; }

@@ -63,8 +63,9 @@ if [ "$leftovers" -ne 0 ]; then
     find "$SMOKE"/ooc_store -type f >&2
     exit 1
 fi
-"$OBS_CHECK" --metrics "$SMOKE"/ooc_metrics.json | tee /dev/stderr \
-    | grep -q "store" \
+metrics=$("$OBS_CHECK" --metrics "$SMOKE"/ooc_metrics.json)
+echo "$metrics" >&2
+grep -q "store" <<< "$metrics" \
     || { echo "ooc_smoke: metrics carry no store section" >&2; exit 1; }
 
 echo "== ooc_smoke: phase 3 (bdd-ooc-bench/v1 report) =="

@@ -43,8 +43,9 @@ echo "== par_smoke: phase 2 (sequential vs --jobs 2 round trip) =="
 "$REACH" --circuit microsequencer --param addr=3 --param stack=2 \
     --engine bfs --jobs 2 --check-reached "$SMOKE"/par_oracle.bdd \
     --metrics "$SMOKE"/par_metrics.json
-"$OBS_CHECK" --metrics "$SMOKE"/par_metrics.json | tee /dev/stderr \
-    | grep -q "parallel-kernel" \
+metrics=$("$OBS_CHECK" --metrics "$SMOKE"/par_metrics.json)
+echo "$metrics" >&2
+grep -q "parallel-kernel" <<< "$metrics" \
     || { echo "par_smoke: metrics carry no parallel-kernel section" >&2; exit 1; }
 
 echo "par_smoke: OK"

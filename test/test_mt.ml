@@ -1,8 +1,10 @@
 (* The Mt subsystem: work-stealing runner semantics (ordering, budgets,
    crash isolation), cross-manager transfer of whole transition relations,
-   and determinism of the parallel harness tables. *)
+   and determinism of the parallel harness tables.
 
-let test_jobs = 4
+   The runner's worker counts are the PAR_TEST_DOMAINS counts above one
+   ([Test_par.parallel_counts]), so the CI matrix re-runs this suite at 2
+   and 8 domains. *)
 
 let test_result_order () =
   (* many quick jobs, results must come back in submission order no matter
@@ -13,13 +15,16 @@ let test_result_order () =
             ignore (Bdd.ithvar man (i mod 7));
             i))
   in
-  let results = Mt.Runner.run ~jobs:test_jobs jobs in
-  Alcotest.(check (list int))
-    "submission order"
-    (List.init 32 Fun.id)
-    (List.map
-       (fun r -> match Mt.Runner.value r with Some i -> i | None -> -1)
-       results)
+  List.iter
+    (fun d ->
+      let results = Mt.Runner.run ~jobs:d jobs in
+      Alcotest.(check (list int))
+        (Printf.sprintf "submission order @ %d workers" d)
+        (List.init 32 Fun.id)
+        (List.map
+           (fun r -> match Mt.Runner.value r with Some i -> i | None -> -1)
+           results))
+    Test_par.parallel_counts
 
 let test_over_budget_isolated () =
   (* the middle job blows a tiny node budget; its siblings must finish
@@ -34,18 +39,21 @@ let test_over_budget_isolated () =
     Mt.Runner.job ~label:(Printf.sprintf "ok%d" i) (fun man ->
         Bdd.size (Bdd.conj man (List.init 20 (Bdd.ithvar man))))
   in
-  match
-    List.map
-      (fun (r : _ Mt.Runner.result) -> r.Mt.Runner.outcome)
-      (Mt.Runner.run ~jobs:test_jobs [ ok 0; hog; ok 1; ok 2 ])
-  with
-  | [ Done 20; Over_budget; Done 20; Done 20 ] -> ()
-  | outcomes ->
-      Alcotest.failf "unexpected outcomes: %s"
-        (String.concat "; "
-           (List.map
-              (Format.asprintf "%a" Mt.Runner.pp_outcome)
-              outcomes))
+  List.iter
+    (fun d ->
+      match
+        List.map
+          (fun (r : _ Mt.Runner.result) -> r.Mt.Runner.outcome)
+          (Mt.Runner.run ~jobs:d [ ok 0; hog; ok 1; ok 2 ])
+      with
+      | [ Done 20; Over_budget; Done 20; Done 20 ] -> ()
+      | outcomes ->
+          Alcotest.failf "unexpected outcomes @ %d workers: %s" d
+            (String.concat "; "
+               (List.map
+                  (Format.asprintf "%a" Mt.Runner.pp_outcome)
+                  outcomes)))
+    Test_par.parallel_counts
 
 let test_deadline () =
   (* a job that makes fresh nodes forever: the tick hook must convert the
@@ -78,19 +86,26 @@ let test_deadline () =
               outcomes))
 
 let test_crash_isolated () =
-  let results =
-    Mt.Runner.run ~jobs:test_jobs
-      [
-        Mt.Runner.job ~label:"boom" (fun _ -> failwith "boom");
-        Mt.Runner.job ~label:"fine" (fun man -> Bdd.size (Bdd.ithvar man 2));
-      ]
-  in
-  match List.map (fun (r : _ Mt.Runner.result) -> r.Mt.Runner.outcome) results with
-  | [ Crashed { exn; _ }; Done 1 ] ->
-      Alcotest.(check bool)
-        "message mentions the exception" true
-        (String.length exn > 0)
-  | _ -> Alcotest.fail "expected [Crashed _; Done 1]"
+  List.iter
+    (fun d ->
+      let results =
+        Mt.Runner.run ~jobs:d
+          [
+            Mt.Runner.job ~label:"boom" (fun _ -> failwith "boom");
+            Mt.Runner.job ~label:"fine" (fun man ->
+                Bdd.size (Bdd.ithvar man 2));
+          ]
+      in
+      match
+        List.map (fun (r : _ Mt.Runner.result) -> r.Mt.Runner.outcome) results
+      with
+      | [ Crashed { exn; _ }; Done 1 ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "message mentions the exception @ %d workers" d)
+            true
+            (String.length exn > 0)
+      | _ -> Alcotest.failf "expected [Crashed _; Done 1] @ %d workers" d)
+    Test_par.parallel_counts
 
 let test_report_counters () =
   match
@@ -142,17 +157,20 @@ let test_table_determinism () =
   in
   Alcotest.(check string)
     "jobs:1 matches sequential" sequential (render_approx pool 1);
-  Alcotest.(check string)
-    "jobs:4 matches sequential" sequential (render_approx pool 4)
+  List.iter
+    (fun d ->
+      Alcotest.(check string)
+        (Printf.sprintf "jobs:%d matches sequential" d)
+        sequential (render_approx pool d))
+    Test_par.parallel_counts
 
 let test_pool_determinism () =
   let label (e : Pool.entry) = (e.Pool.label, Bdd.size e.Pool.f) in
   let circuits =
-    Some
-      [
-        Generate.microsequencer ~addr_bits:3 ~stack_depth:2;
-        Generate.shifter_datapath ~width:6;
-      ]
+    [
+      Generate.microsequencer ~addr_bits:3 ~stack_depth:2;
+      Generate.shifter_datapath ~width:6;
+    ]
   in
   Alcotest.(check (list (pair string int)))
     "same entries for jobs:1 and jobs:3"
@@ -189,7 +207,7 @@ let test_copy_preserves_sharing () =
   let f = Bdd.conj src (List.init 8 (Bdd.ithvar src)) in
   let g = Bdd.bor src f (Bdd.nithvar src 9) in
   let dst = Bdd.create () in
-  match Mt.Transfer.copy_list ~src ~dst [ f; g ] with
+  match Bdd.import_list dst (Bdd.export_list src [ f; g ]) with
   | [ f'; g' ] ->
       Alcotest.(check int)
         "shared size preserved"
@@ -197,8 +215,46 @@ let test_copy_preserves_sharing () =
         (Bdd.shared_size [ f'; g' ]);
       Alcotest.(check bool)
         "copy agrees with copy_list" true
-        (Bdd.equal f' (Mt.Transfer.copy ~src ~dst f))
+        (Bdd.equal f' (Bdd.import dst (Bdd.export src f)))
   | _ -> Alcotest.fail "copy_list arity"
+
+(* --- a runner job that opens its own pool ---------------------------- *)
+
+(* A runner job is a Tpool task; one that runs a pool-driven traversal
+   creates, forks on and shuts down a second Tpool from inside it.  The
+   reached set must be the sequential engine's, bit for bit. *)
+let test_nested_pools () =
+  let useq () = Generate.microsequencer ~addr_bits:3 ~stack_depth:2 in
+  let export man f = Bdd.serialized_to_string (Bdd.export man f) in
+  let want =
+    let trans = Trans.build (Compile.compile (useq ())) in
+    export (Trans.man trans) (Bfs.run trans).Traversal.reached
+  in
+  List.iter
+    (fun d ->
+      let results =
+        Mt.Runner.run ~jobs:d
+          (List.init d (fun i ->
+               Mt.Runner.job ~label:(Printf.sprintf "nested%d" i) (fun _ ->
+                   let man = Bdd.create ~shared:true () in
+                   let trans = Trans.build (Compile.compile ~man (useq ())) in
+                   Mt.Par.with_pool ~jobs:2 (fun p ->
+                       let r = Bfs.run ~pool:(Mt.Par.pool p) trans in
+                       export man r.Traversal.reached))))
+      in
+      List.iter
+        (fun (r : _ Mt.Runner.result) ->
+          match r.Mt.Runner.outcome with
+          | Done got ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s reached set @ %d workers"
+                   r.Mt.Runner.report.Mt.Runner.label d)
+                want got
+          | o ->
+              Alcotest.failf "%s @ %d workers: %a"
+                r.Mt.Runner.report.Mt.Runner.label d Mt.Runner.pp_outcome o)
+        results)
+    Test_par.domain_counts
 
 let tests =
   ( "mt",
@@ -217,4 +273,6 @@ let tests =
         test_trans_transfer;
       Alcotest.test_case "copy_list preserves sharing" `Quick
         test_copy_preserves_sharing;
+      Alcotest.test_case "runner job opens its own pool" `Quick
+        test_nested_pools;
     ] )

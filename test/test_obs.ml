@@ -233,31 +233,64 @@ let test_report_carries_stats () =
 (* --- Trace --------------------------------------------------------- *)
 
 let test_trace_runner_roundtrip () =
-  in_tmp "trace.json" (fun path ->
-      Obs.Trace.start ~out:path ();
-      ignore
-        (Mt.Runner.run ~jobs:test_jobs
-           (List.init 8 (fun i ->
-                Mt.Runner.job ~label:(Printf.sprintf "t%d" i) (fun man ->
-                    Bdd.size
-                      (Bdd.conj man (List.init 60 (Bdd.ithvar man)))))));
-      (* a span that raises must still balance *)
-      (try
-         Obs.Trace.with_span "raiser" (fun () -> failwith "boom")
-       with Failure _ -> ());
-      Obs.Trace.stop ();
-      Alcotest.(check bool) "tracing off after stop" false
-        (Obs.Trace.enabled ());
-      let j = Obs.Json.read_file path in
-      match Obs.Trace.validate j with
-      | Error m -> Alcotest.failf "invalid trace: %s" m
-      | Ok (events, tracks) ->
-          Alcotest.(check bool) "events recorded" true (events > 0);
-          (* jobs=4: the calling domain plus three spawned workers, each
-             with an mt.worker span, i.e. one lane per worker domain *)
-          Alcotest.(check bool)
-            (Printf.sprintf "at least %d tracks (got %d)" test_jobs tracks)
-            true (tracks >= test_jobs))
+  List.iter
+    (fun d ->
+      in_tmp "trace.json" (fun path ->
+          Obs.Trace.start ~out:path ();
+          ignore
+            (Mt.Runner.run ~jobs:d
+               (List.init (max 8 d) (fun i ->
+                    Mt.Runner.job ~label:(Printf.sprintf "t%d" i) (fun man ->
+                        Bdd.size
+                          (Bdd.conj man (List.init 60 (Bdd.ithvar man)))))));
+          (* a span that raises must still balance *)
+          (try Obs.Trace.with_span "raiser" (fun () -> failwith "boom")
+           with Failure _ -> ());
+          Obs.Trace.stop ();
+          Alcotest.(check bool) "tracing off after stop" false
+            (Obs.Trace.enabled ());
+          let j = Obs.Json.read_file path in
+          match Obs.Trace.validate j with
+          | Error m -> Alcotest.failf "invalid trace @ %d workers: %s" d m
+          | Ok (events, tracks) ->
+              Alcotest.(check bool) "events recorded" true (events > 0);
+              (* the calling domain plus d - 1 pool helpers, each with an
+                 mt.worker span, i.e. one lane per worker domain *)
+              Alcotest.(check bool)
+                (Printf.sprintf "at least %d tracks (got %d)" d tracks)
+                true (tracks >= d);
+              (* the lanes come by construction, not by luck of the
+                 steal: one mt.worker span on each of the d - 1 helpers
+                 and none on the caller, whose lane holds mt.run *)
+              let tids name_ok =
+                match Obs.Json.member "traceEvents" j with
+                | Some (Obs.Json.Arr evs) ->
+                    List.sort_uniq compare
+                      (List.filter_map
+                         (fun ev ->
+                           match
+                             ( Obs.Json.member "ph" ev,
+                               Obs.Json.member "name" ev,
+                               Obs.Json.member "tid" ev )
+                           with
+                           | ( Some (Obs.Json.Str "B"),
+                               Some (Obs.Json.Str name),
+                               Some (Obs.Json.Num tid) )
+                             when name_ok name ->
+                               Some tid
+                           | _ -> None)
+                         evs)
+                | _ -> []
+              in
+              let workers =
+                tids (String.starts_with ~prefix:"mt.worker ")
+              and caller = tids (String.equal "mt.run") in
+              Alcotest.(check int)
+                (Printf.sprintf "mt.worker lanes @ %d workers" d)
+                (d - 1) (List.length workers);
+              Alcotest.(check bool) "no mt.worker span on the caller" true
+                (List.for_all (fun t -> not (List.mem t caller)) workers)))
+    Test_par.parallel_counts
 
 let test_trace_validate_rejects () =
   let ev kvs = Obs.Json.Obj kvs in

@@ -15,6 +15,13 @@ let domain_counts =
   | Some (_ :: _ as ds) -> ds
   | Some [] | None -> [ 1; 2; 4 ]
 
+(* The counts above one, for the Mt runner's suites, which test their
+   one-worker case on its own; 2 if PAR_TEST_DOMAINS names none. *)
+let parallel_counts =
+  match List.filter (fun d -> d >= 2) domain_counts with
+  | [] -> [ 2 ]
+  | ds -> ds
+
 let nvars = 6
 
 let qtest ?(count = 100) name prop_arb prop =
