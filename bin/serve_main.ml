@@ -184,7 +184,7 @@ let () =
       workers = !workers;
       queue_depth = !queue_depth;
       limits =
-        { Serve.Handler.node_budget = !node_budget; deadline = !deadline };
+        { Resil.Degrade.node_budget = !node_budget; deadline = !deadline };
       max_sessions = !max_sessions;
       on_dispatch = None;
       par_jobs = !par_jobs;

@@ -43,10 +43,10 @@ type 'a state =
 type 'a future = { st : 'a state Atomic.t }
 
 (* Deque items are pre-wrapped thunks so deques of one pool can carry
-   futures of every result type. *)
+   futures of every result type; a thunk answers whether its claim won. *)
 type t = {
   size : int; (* helpers + the calling domain *)
-  deques : (unit -> unit) Wsdeque.t array;
+  deques : (unit -> bool) Wsdeque.t array;
   stamp : int Atomic.t; (* bumped on every fork; sleep guard *)
   lock : Mutex.t;
   cond : Condition.t;
@@ -66,32 +66,27 @@ let size t = t.size
    harmless: the deque is mutex-guarded. *)
 let[@inline] home t = (Domain.self () :> int) mod Array.length t.deques
 
-let try_pop_or_steal t =
+(* Run one pending task if any; the helping step of [join] and the body
+   of the worker loop.  A steal counts only when its claim wins: a stale
+   entry (claimed inline by a joiner, or dropped) runs nothing. *)
+let try_run_one t =
   let n = Array.length t.deques in
   let h = home t in
   match Wsdeque.pop t.deques.(h) with
-  | Some _ as it -> it
+  | Some task ->
+      ignore (task ());
+      true
   | None ->
       let rec scan i =
-        if i >= n then None
+        if i >= n then false
         else
-          let k = (h + i) mod n in
-          match Wsdeque.steal t.deques.(k) with
-          | Some _ as it ->
-              Atomic.incr t.steals;
-              it
+          match Wsdeque.steal t.deques.((h + i) mod n) with
+          | Some task ->
+              if task () then Atomic.incr t.steals;
+              true
           | None -> scan (i + 1)
       in
       scan 1
-
-(* Run one pending task if any; the helping step of [join] and the body
-   of the worker loop. *)
-let try_run_one t =
-  match try_pop_or_steal t with
-  | Some task ->
-      task ();
-      true
-  | None -> false
 
 let rec worker_loop t =
   if not (Atomic.get t.stop) then begin
@@ -141,18 +136,20 @@ let shutdown t =
   List.iter Domain.join t.domains;
   t.domains <- []
 
-(* Claim the thunk out of [Todo] and run it.  Used by both the deque
-   wrapper and the inline fast path of [join]. *)
+(* Claim the thunk out of [Todo] and run it; true when this call ran it.
+   Used by both the deque wrapper and the inline fast path of [join]. *)
 let claim_and_run t fut =
   match Atomic.get fut.st with
   | Todo f as old ->
       if Atomic.compare_and_set fut.st old Running then begin
         Atomic.incr t.execs;
-        match f () with
+        (match f () with
         | v -> Atomic.set fut.st (Done v)
-        | exception e -> Atomic.set fut.st (Raised e)
+        | exception e -> Atomic.set fut.st (Raised e));
+        true
       end
-  | Running | Done _ | Raised _ | Dropped -> ()
+      else false
+  | Running | Done _ | Raised _ | Dropped -> false
 
 let fork t f =
   let fut = { st = Atomic.make (Todo f) } in
@@ -169,7 +166,7 @@ let fork t f =
 let rec join t fut =
   match Atomic.get fut.st with
   | Todo _ ->
-      claim_and_run t fut;
+      ignore (claim_and_run t fut);
       join t fut
   | Running ->
       (* help: run someone else's task rather than spin *)

@@ -73,17 +73,14 @@ let parse_decls lines =
                 decls := Dlatch { out; in_; init } :: !decls;
                 go rest
             | _ -> fail "malformed .latch: %s" line)
-        | [ ".names"; out ] ->
-            (* constant: rows give the value *)
-            let rows, rest = collect_rows [] rest in
-            decls := Dnames { out; ins = []; rows } :: !decls;
-            go rest
-        | ".names" :: args ->
-            let rev = List.rev args in
-            let out = List.hd rev and ins = List.rev (List.tl rev) in
-            let rows, rest = collect_rows [] rest in
-            decls := Dnames { out; ins; rows } :: !decls;
-            go rest
+        | ".names" :: args -> (
+            match List.rev args with
+            | [] -> fail "malformed .names: %s" line
+            | out :: rev_ins ->
+                (* with no inputs, a constant: the rows give the value *)
+                let rows, rest = collect_rows [] rest in
+                decls := Dnames { out; ins = List.rev rev_ins; rows } :: !decls;
+                go rest)
         | ".end" :: _ -> ()
         | (".exdc" | ".wire_load_slope" | ".default_input_arrival") :: _ ->
             go rest

@@ -12,9 +12,9 @@
    every job inline in the caller.
 
    Domains cannot be killed, so cancellation is cooperative but does not
-   require the job's help: the node budget rides on Bdd.set_node_limit and
-   the deadline on the Bdd.set_tick hook, both of which fire inside node
-   creation — precisely where a runaway BDD job spends its time.
+   require the job's help: Resil.Degrade.within arms the job's budget on
+   Bdd.set_node_limit and the Bdd.set_tick hook, both of which fire inside
+   node creation — precisely where a runaway BDD job spends its time.
 
    Supervision happens inside the task that runs the job: a failed
    attempt sleeps (exponential backoff, jitter deterministic in the label
@@ -22,10 +22,6 @@
    manager.  The worker is blocked during the backoff on purpose — a
    failing job should not be able to flood the pool with retries while
    healthy jobs wait. *)
-
-type budget = { deadline : float option; node_budget : int option }
-
-let no_budget = { deadline = None; node_budget = None }
 
 type retry = {
   max_attempts : int;
@@ -59,11 +55,14 @@ type report = {
 
 type 'a result = { outcome : 'a outcome; report : report }
 
-type 'a job = { label : string; budget : budget; work : Bdd.man -> 'a }
+type 'a job = {
+  label : string;
+  budget : Resil.Degrade.budget;
+  work : Bdd.man -> 'a;
+}
 
-let job ?(budget = no_budget) ~label work = { label; budget; work }
-
-exception Deadline
+let job ?(budget = Resil.Degrade.no_budget) ~label work =
+  { label; budget; work }
 
 let stat stats name = Option.value ~default:0 (List.assoc_opt name stats)
 
@@ -95,23 +94,16 @@ let exec ~attempt j =
   let man = Bdd.create () in
   if Obs.Kernel.observing () then Obs.Kernel.attach man;
   if Resil.Fault.enabled () then Resil.Fault.attach man;
-  Bdd.set_node_limit man j.budget.node_budget;
-  (match j.budget.deadline with
-  | None -> ()
-  | Some d ->
-      let cutoff = Obs.Timing.wall () +. d in
-      Bdd.set_tick man
-        (Some (fun () -> if Obs.Timing.wall () > cutoff then raise Deadline)));
   let outcome, wall =
     Obs.Trace.with_span ("job:" ^ j.label) (fun () ->
         Obs.Timing.time (fun () ->
             try
               if Resil.Fault.enabled () then
                 Resil.Fault.on_job_dispatch ~label:j.label ~attempt;
-              Done (j.work man)
+              Done (Resil.Degrade.within j.budget man (fun () -> j.work man))
             with
             | Bdd.Node_limit -> Over_budget
-            | Deadline -> Timeout
+            | Resil.Degrade.Deadline -> Timeout
             | e ->
                 Crashed
                   {

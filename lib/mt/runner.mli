@@ -39,13 +39,6 @@
     managers get an {!Obs.Kernel} observer.  All of it is branch-gated:
     disabled, the runner behaves and times exactly as before. *)
 
-type budget = {
-  deadline : float option;  (** wall-clock seconds, enforced via {!Bdd.set_tick} *)
-  node_budget : int option;  (** live-node ceiling, enforced via {!Bdd.set_node_limit} *)
-}
-
-val no_budget : budget
-
 type retry = {
   max_attempts : int;  (** total attempts, including the first; >= 1 *)
   backoff : float;  (** base delay in seconds, doubled per retry *)
@@ -90,7 +83,10 @@ type report = {
 type 'a result = { outcome : 'a outcome; report : report }
 type 'a job
 
-val job : ?budget:budget -> label:string -> (Bdd.man -> 'a) -> 'a job
+val job :
+  ?budget:Resil.Degrade.budget -> label:string -> (Bdd.man -> 'a) -> 'a job
+(** [budget] is armed on the job's fresh manager by
+    {!Resil.Degrade.within}, so its node budget is an absolute ceiling. *)
 
 val run : ?jobs:int -> ?retry:retry -> 'a job list -> 'a result list
 (** Execute the jobs on [jobs] workers (default {!Par.recommended};
@@ -103,7 +99,7 @@ val run : ?jobs:int -> ?retry:retry -> 'a job list -> 'a result list
 val map :
   ?jobs:int ->
   ?retry:retry ->
-  ?budget:budget ->
+  ?budget:Resil.Degrade.budget ->
   label:('a -> string) ->
   (Bdd.man -> 'a -> 'b) ->
   'a list ->

@@ -58,8 +58,7 @@ let run ?(max_iter = max_int) ?time_limit ?node_limit ?gc_start
     let dense =
       try extract ()
       with Bdd.Node_limit ->
-        (try ignore (Bdd.gc man ~roots:(roots ()))
-         with Bdd.Node_limit -> ());
+        Resil.Degrade.collect man (roots ());
         extract ()
     in
     let dense = if Bdd.is_false dense then !unexpanded else dense in

@@ -70,9 +70,7 @@ let run ?(max_iter = max_int) ?time_limit ?store_dir ?mem_bound
     peak_total :=
       max !peak_total (Bdd.unique_size man + Store.Tiered.cold_nodes store)
   in
-  let safe_gc () =
-    try ignore (Bdd.gc man ~roots:(roots ())) with Bdd.Node_limit -> ()
-  in
+  let safe_gc () = Resil.Degrade.collect man (roots ()) in
   let migrate reached =
     Obs.Trace.with_span "ooc.migrate" @@ fun () ->
     let h = Store.Tiered.demote store !reached in

@@ -46,9 +46,7 @@ let maintain m man roots =
     m.sift_at <- 2 * Bdd.shared_size !roots + m.sift_at
   end;
   if Bdd.unique_size man > m.gc_at then begin
-    (* a collection cut short (only possible under fault injection, which
-       fires at gc entry) just reclaims nothing — never abort the run *)
-    (try ignore (Bdd.gc man ~roots:!roots) with Bdd.Node_limit -> ());
+    Resil.Degrade.collect man !roots;
     m.gc_at <- max m.gc_at (2 * Bdd.unique_size man)
   end;
   !roots

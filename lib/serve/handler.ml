@@ -1,10 +1,5 @@
 (* Request execution and the per-request degradation ladder (see mli). *)
 
-type limits = { node_budget : int option; deadline : float option }
-
-let no_limits = { node_budget = None; deadline = None }
-
-exception Deadline
 exception Refused of string
 (* A failure with a clean message for the Error reply (unknown handle,
    exhausted ladder, out-of-range argument). *)
@@ -20,91 +15,44 @@ let check_var v = if v < 0 || v >= var_cap then refuse "variable %d out of range
 let get session h =
   try Session.get session h with Not_found -> refuse "unknown handle %d" h
 
-(* --- per-request limits ---------------------------------------------- *)
-
-let with_limits limits man f =
-  if limits.node_budget = None && limits.deadline = None then f ()
-  else begin
-    (match limits.node_budget with
-    | Some b -> Bdd.set_node_limit man (Some (Bdd.unique_size man + b))
-    | None -> ());
-    (match limits.deadline with
-    | Some d ->
-        let cutoff = Obs.Timing.wall () +. d in
-        Bdd.set_tick man
-          (Some (fun () -> if Obs.Timing.wall () > cutoff then raise Deadline))
-    | None -> ());
-    Fun.protect
-      ~finally:(fun () ->
-        Bdd.set_node_limit man None;
-        Bdd.set_tick man None)
-      f
-  end
-
 module M = struct
   let table_full_degraded =
     Obs.Metrics.counter Obs.Metrics.default "serve.table_full_degraded"
 end
 
-let note c = if Obs.Metrics.recording () then Obs.Metrics.inc c 1
-
-(* The ladder: exact -> gc + exact retry -> (monotone only) heavy-branch
-   under-approximated operands at shrinking thresholds.  Each rung runs
-   under a freshly armed limit; the session is collected between rungs so
-   failed attempts' garbage does not eat the next rung's budget.
-
-   Three budget failures descend it: [Node_limit] (per-request budget),
-   [Deadline] (the tick hook fired — the deadline re-arms per rung, so a
-   cancelled exact attempt still leaves the cheaper rungs their full
-   allowance and the worst-case wall clock is O(rungs) x deadline), and
-   [Bdd.Table_full] (the shared unique table hit its capacity: the gc
-   rung frees slots and the HB rungs shrink the footprint).  A rescued
-   reply names what it was rescued from — ["deadline"], ["table-full"] —
-   ahead of the ["HB\@t"] rung that saved it. *)
+(* Resil.Degrade's walk per request, with heavy-branch under-approximated
+   operands at shrinking thresholds as the rungs of monotone requests.
+   The budget is re-armed per attempt, so a cancelled exact attempt
+   leaves the cheaper rungs their full deadline (worst-case wall clock
+   O(rungs) x deadline). *)
 let budgeted limits session ~monotone compute =
-  let man = Session.man session in
-  let deadline_hit = ref false and table_hit = ref false in
-  let attempt thr =
-    match with_limits limits man (fun () -> compute thr) with
-    | f -> Some f
-    | exception Bdd.Node_limit -> None
-    | exception Deadline ->
-        deadline_hit := true;
-        None
-    | exception Bdd.Table_full ->
-        table_hit := true;
-        None
+  let rungs () =
+    let rec from t =
+      if t < 16 then []
+      else
+        (Printf.sprintf "HB@%d" t, fun () -> Some (compute (Some t)))
+        :: from (t / 4)
+    in
+    if not monotone then []
+    else
+      from
+        (match limits.Resil.Degrade.node_budget with
+        | Some b -> max 16 (b / 8)
+        | None -> 4096)
   in
-  let reasons () =
-    (if !deadline_hit then [ "deadline" ] else [])
-    @ if !table_hit then [ "table-full" ] else []
-  in
-  match attempt None with
-  | Some f -> (f, Proto.Exact)
-  | None -> (
-      ignore (Session.gc session);
-      match attempt None with
-      | Some f -> (f, Proto.Exact)
-      | None ->
-          if not monotone then
-            refuse "budget exhausted (request is not degradable)";
-          let start =
-            match limits.node_budget with
-            | Some b -> max 16 (b / 8)
-            | None -> 4096
-          in
-          let rec rung t =
-            if t < 16 then refuse "budget exhausted (ladder ran dry)"
-            else begin
-              ignore (Session.gc session);
-              match attempt (Some t) with
-              | Some f ->
-                  if !table_hit then note M.table_full_degraded;
-                  (f, Proto.Degraded (reasons () @ [ Printf.sprintf "HB@%d" t ]))
-              | None -> rung (t / 4)
-            end
-          in
-          rung start)
+  match
+    Resil.Degrade.walk ~budget:limits (Session.man session)
+      ~collect:(fun () -> Session.gc session)
+      ~rungs
+      (fun () -> compute None)
+  with
+  | Some (f, []) -> (f, Proto.Exact)
+  | Some (f, trail) ->
+      if List.mem "table-full" trail && Obs.Metrics.recording () then
+        Obs.Metrics.inc M.table_full_degraded 1;
+      (f, Proto.Degraded trail)
+  | None when monotone -> refuse "budget exhausted (ladder ran dry)"
+  | None -> refuse "budget exhausted (request is not degradable)"
 
 (* Heavy-branch subset of an operand for the degraded rungs: strictly
    below f, so any monotone combination of subsets stays below the exact
@@ -304,12 +252,14 @@ let reach ?pool limits session ~model ~max_iter =
   let trans = Trans.build compiled in
   (* the node budget is headroom on top of the compiled machine *)
   let node_limit =
-    Option.map (fun b -> Bdd.unique_size rman + b) limits.node_budget
+    Option.map
+      (fun b -> Bdd.unique_size rman + b)
+      limits.Resil.Degrade.node_budget
   in
   let result =
     Bfs.run
       ?max_iter:(if max_iter = 0 then None else Some max_iter)
-      ?time_limit:limits.deadline ?node_limit ?pool trans
+      ?time_limit:limits.Resil.Degrade.deadline ?node_limit ?pool trans
   in
   let reached =
     Bdd.import (Session.man session) (Bdd.export rman result.Traversal.reached)
@@ -331,7 +281,9 @@ let handle ?(stats_extra = fun () -> []) ?pool limits session req =
      node limits and tick hooks are manager-global, so arming them for
      one request would cancel its neighbors.  Admission control and the
      arena's table capacity still bound arena-mode resource use. *)
-  let limits = if Session.arena_backed session then no_limits else limits in
+  let limits =
+    if Session.arena_backed session then Resil.Degrade.no_budget else limits
+  in
   Session.note_request session;
   try
     (* chaos probe: under --faults this simulates a worker crash at
@@ -364,16 +316,13 @@ let handle ?(stats_extra = fun () -> []) ?pool limits session req =
                 cert = Proto.Exact;
               }
         | None ->
-            let f =
-              with_limits limits man (fun () ->
-                  Bdd.import man (Bdd.serialized_of_string bdd))
+            let s = Bdd.serialized_of_string bdd in
+            let f, cert =
+              budgeted limits session ~monotone:false (fun _ ->
+                  Bdd.import man s)
             in
             Proto.Handle
-              {
-                id = Session.put session f;
-                size = Bdd.size f;
-                cert = Proto.Exact;
-              })
+              { id = Session.put session f; size = Bdd.size f; cert })
     | Proto.Fetch { handle } ->
         let f = get session handle in
         Proto.Bdd_payload { bdd = Bdd.serialized_to_string (Bdd.export man f) }
@@ -437,6 +386,6 @@ let handle ?(stats_extra = fun () -> []) ?pool limits session req =
   | Bdd.Corrupt m -> Proto.Error (Printf.sprintf "corrupt BDD payload: %s" m)
   | Bdd.Node_limit -> Proto.Error "node budget exhausted"
   | Bdd.Table_full -> Proto.Error "shared node table full"
-  | Deadline -> Proto.Error "deadline exceeded"
+  | Resil.Degrade.Deadline -> Proto.Error "deadline exceeded"
   | Resil.Degrade.Exhausted -> Proto.Error "degradation ladder exhausted"
   | e -> Proto.Error (Printf.sprintf "request failed: %s" (Printexc.to_string e))

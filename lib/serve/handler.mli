@@ -11,18 +11,14 @@
 
     {2 Degradation on the wire}
 
-    Requests that build BDDs run under the per-request {!limits}: a node
-    budget (ceiling = live nodes at request start + budget) and a
-    wall-clock deadline enforced via {!Bdd.set_tick}.  When the exact
-    computation blows a limit, the handler walks a {!Resil.Degrade}-style
-    ladder: collect the session's garbage and retry; then — for requests
-    whose results are monotone in their operands ([And], [Or], [Exists],
-    [Approx]) — retry on heavy-branch under-approximated operands at
-    geometrically shrinking thresholds.  A rescued reply carries
-    [Degraded ["HB\@512"]] and its BDD is a {e sound under-approximation}
-    (a subset) of the exact answer; non-monotone requests ([Not], [Xor],
-    [Ite], [Forall], [Decomp], [Compile], [Put]) stop after the gc rung
-    and reply [Error] rather than return an unsound result.
+    Requests that build BDDs run under the per-request budget through
+    {!Resil.Degrade.walk}: exact, a gc and the exact retry, then — only
+    for requests monotone in their operands ([And], [Or], [Exists],
+    [Approx]) — heavy-branch under-approximated operands at shrinking
+    thresholds, whose reply carries [Degraded ["HB\@512"]] and a {e sound
+    under-approximation} (a subset) of the exact answer.  The others
+    ([Not], [Xor], [Ite], [Forall], [Decomp], [Compile], [Put]) reply
+    [Error] after the retry rather than return an unsound result.
 
     {2 Arena-backed sessions}
 
@@ -31,23 +27,16 @@
     the published output segments zero-copy instead of recompiling — and
     a miss publishes what it compiled for the next session; [Put] goes
     through [Arena.publish_serialized], so identical payloads across
-    sessions share one segment.  Per-request {!limits} are {e not} armed
+    sessions share one segment.  Per-request budgets are {e not} armed
     for arena-backed sessions: node limits and tick hooks are
     manager-global, and the manager is shared by concurrent domains —
     resource use is bounded by the arena's table capacity and the
     server's admission control instead. *)
 
-type limits = {
-  node_budget : int option;  (** fresh nodes allowed per request *)
-  deadline : float option;  (** wall-clock seconds per request *)
-}
-
-val no_limits : limits
-
 val handle :
   ?stats_extra:(unit -> (string * int) list) ->
   ?pool:Tpool.t ->
-  limits ->
+  Resil.Degrade.budget ->
   Session.t ->
   Proto.request ->
   Proto.reply

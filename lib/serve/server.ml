@@ -34,7 +34,7 @@ type config = {
   bind : bind;
   workers : int;
   queue_depth : int;
-  limits : Handler.limits;
+  limits : Resil.Degrade.budget;
   max_sessions : int;
   on_dispatch : (Proto.request -> unit) option;
   par_jobs : int;
@@ -51,7 +51,7 @@ let default_config =
     bind = Unix_path "bdd-serve.sock";
     workers = 4;
     queue_depth = 64;
-    limits = Handler.no_limits;
+    limits = Resil.Degrade.no_budget;
     max_sessions = 1024;
     on_dispatch = None;
     par_jobs = 1;
@@ -314,9 +314,9 @@ let limits_for cfg (meta : Proto.meta) =
     let d = float_of_int meta.Proto.deadline_ms /. 1000. in
     {
       cfg.limits with
-      Handler.deadline =
+      Resil.Degrade.deadline =
         Some
-          (match cfg.limits.Handler.deadline with
+          (match cfg.limits.Resil.Degrade.deadline with
           | None -> d
           | Some d0 -> Float.min d0 d);
     }
@@ -942,7 +942,12 @@ let bind_unix fd path addr =
       end
 
 let start cfg =
+  (* checked before any socket exists, so a bad config binds nothing *)
   if cfg.workers < 1 then invalid_arg "Serve.Server: workers < 1";
+  if cfg.queue_depth < 1 then invalid_arg "Serve.Server: queue_depth < 1";
+  (match cfg.table_capacity with
+  | Some c when c < 1 -> invalid_arg "Serve.Server: table_capacity < 1"
+  | _ -> ());
   (* a peer closing mid-write must surface as EPIPE, not kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let listener, addr =

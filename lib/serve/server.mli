@@ -77,7 +77,7 @@ type config = {
   bind : bind;
   workers : int;
   queue_depth : int;
-  limits : Handler.limits;  (** per-request budgets *)
+  limits : Resil.Degrade.budget;  (** per-request budgets *)
   max_sessions : int;  (** accept backstop; excess connections are closed *)
   on_dispatch : (Proto.request -> unit) option;
       (** test hook, called by the shard worker as it picks a request up
@@ -119,7 +119,7 @@ type config = {
 }
 
 val default_config : config
-(** 4 workers, queue depth 64, no limits, 1024 sessions, 1 par job,
+(** 4 workers, queue depth 64, no budget, 1024 sessions, 1 par job,
     Unix path ["bdd-serve.sock"], no io/hang timeouts, 30 s session
     linger, no table capacity, no spool, no arena. *)
 
@@ -131,6 +131,8 @@ val start : config -> t
     reply must not kill the server).  A stale Unix socket path left by a
     crashed predecessor is probed and unlinked; a path with a {e live}
     server behind it raises [EADDRINUSE] untouched.
+    @raise Invalid_argument before touching a socket when [workers],
+    [queue_depth] or [table_capacity] is below 1.
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val address : t -> Unix.sockaddr

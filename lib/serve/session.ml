@@ -137,12 +137,11 @@ let roots t = Hashtbl.fold (fun _ f acc -> f :: acc) t.handles []
    manager is the process-wide shared table, other sessions' overlays
    live in it concurrently, and a sweep requires quiescence — that is
    {!Arena.reclaim}'s job, driven by the server at a safe point. *)
-let gc t =
-  if t.arena <> None then 0 else Bdd.gc t.man ~roots:(roots t)
+let gc t = if t.arena = None then Resil.Degrade.collect t.man (roots t)
 
 let maybe_gc t =
   if t.arena = None && Bdd.unique_size t.man > t.gc_arm then begin
-    ignore (gc t);
+    gc t;
     t.gc_arm <- max gc_arm_floor (2 * Bdd.unique_size t.man)
   end
 

@@ -111,8 +111,8 @@ val model : t -> string -> Circuit.t option
 val roots : t -> Bdd.t list
 (** Every BDD the session owns (the live handles). *)
 
-val gc : t -> int
-(** Collect the manager against {!roots} now; returns nodes collected. *)
+val gc : t -> unit
+(** Collect the manager against {!roots} now ({!Resil.Degrade.collect}). *)
 
 val maybe_gc : t -> unit
 (** Amortized eviction: collect once the unique table passes an arming

@@ -102,6 +102,53 @@ let test_writer_escapes_nothing_weird () =
       Generate.microprogram ~addr_bits:3 ~stack_depth:1 ~seed:7;
     ]
 
+(* One damage of writer output: truncation, a flipped byte, a deleted
+   token or a deleted line, placed by [pos]. *)
+let damage text kind pos =
+  let len = String.length text in
+  match kind with
+  | 0 -> String.sub text 0 (pos mod (len + 1))
+  | 1 ->
+      let at = pos mod len and mask = 1 + (pos / len mod 255) in
+      String.mapi
+        (fun i c -> if i = at then Char.chr (Char.code c lxor mask) else c)
+        text
+  | 2 ->
+      let lines =
+        List.map (String.split_on_char ' ') (String.split_on_char '\n' text)
+      in
+      let k = pos mod List.length (List.concat lines) in
+      let _, lines =
+        List.fold_left_map
+          (fun i toks ->
+            ( i + List.length toks,
+              String.concat " " (List.filteri (fun j _ -> i + j <> k) toks) ))
+          0 lines
+      in
+      String.concat "\n" lines
+  | _ ->
+      let lines = String.split_on_char '\n' text in
+      let k = pos mod List.length lines in
+      String.concat "\n" (List.filteri (fun i _ -> i <> k) lines)
+
+let prop_damage_is_parse_error =
+  let circuit seed =
+    if seed mod 2 = 0 then
+      Generate.random_netlist ~inputs:4 ~gates:12 ~outputs:2 ~seed
+    else Generate.dense_controller ~latches:4 ~seed
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:1000
+       ~name:"damaged writer output raises Parse_error only"
+       QCheck.(triple (int_bound 1000) (int_bound 3) (int_bound 1_000_000))
+       (fun (seed, kind, pos) ->
+         let text = damage (Blif.to_string (circuit seed)) kind pos in
+         match parse text with
+         | _ -> true
+         | exception Blif.Parse_error _ -> true
+         | exception e ->
+             QCheck.Test.fail_reportf "%s on %S" (Printexc.to_string e) text))
+
 let tests =
   ( "blif",
     [
@@ -117,4 +164,5 @@ let tests =
         test_combinational_cycle_detected;
       Alcotest.test_case "writer round-trips" `Quick
         test_writer_escapes_nothing_weird;
+      prop_damage_is_parse_error;
     ] )

@@ -31,7 +31,7 @@ let test_over_budget_isolated () =
      untouched because every job owns a private manager *)
   let hog =
     Mt.Runner.job
-      ~budget:{ Mt.Runner.no_budget with node_budget = Some 50 }
+      ~budget:{ Resil.Degrade.no_budget with node_budget = Some 50 }
       ~label:"hog"
       (fun man -> Bdd.size (Bdd.conj man (List.init 200 (Bdd.ithvar man))))
   in
@@ -60,7 +60,7 @@ let test_deadline () =
      deadline into Timeout while a sibling completes *)
   let endless =
     Mt.Runner.job
-      ~budget:{ Mt.Runner.no_budget with deadline = Some 0.05 }
+      ~budget:{ Resil.Degrade.no_budget with deadline = Some 0.05 }
       ~label:"endless"
       (fun man ->
         let f = ref (Bdd.tt man) in

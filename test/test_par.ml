@@ -192,6 +192,42 @@ let test_pool_size_one_inline () =
       Alcotest.(check bool) "same as band" true
         (Bdd.equal r (Bdd.band man x y)))
 
+(* Tpool.stats counts a steal only for an execution that crossed deques.
+   A caller that forks and at once joins claims each task inline and
+   leaves its deque entry behind, stale: a helper that steals one runs
+   nothing.  Four workers, because helpers' domain ids are consecutive:
+   at most one of three helpers shares the caller's deque slot. *)
+let test_pool_steals_are_executions () =
+  let n = 2000 in
+  let caller = (Domain.self () :> int) in
+  let ran = Array.init (n + 1) (fun _ -> Atomic.make caller) in
+  let task i () = Atomic.set ran.(i) (Domain.self () :> int) in
+  let steals =
+    with_pool 4 (fun pool ->
+        for i = 0 to n - 1 do
+          Tpool.join pool (Tpool.fork pool (task i))
+        done;
+        (* leave the last task to the helpers: they steal oldest first,
+           so once it has run the stale entries before it are taken *)
+        let last = Tpool.fork pool (task n) in
+        let give_up = Unix.gettimeofday () +. 5. in
+        while Atomic.get ran.(n) = caller && Unix.gettimeofday () < give_up do
+          Domain.cpu_relax ()
+        done;
+        Tpool.join pool last;
+        let _, _, steals = Tpool.stats pool in
+        steals)
+  in
+  let elsewhere =
+    Array.fold_left
+      (fun k d -> if Atomic.get d <> caller then k + 1 else k)
+      0 ran
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d steals <= %d tasks run off the forking domain" steals
+       elsewhere)
+    true (steals <= elsewhere)
+
 let tests =
   ( "par",
     [
@@ -211,4 +247,6 @@ let tests =
         test_par_requires_shared;
       Alcotest.test_case "1-worker pool inlines" `Quick
         test_pool_size_one_inline;
+      Alcotest.test_case "Tpool steals are executions, not stale entries"
+        `Quick test_pool_steals_are_executions;
     ] )

@@ -335,7 +335,7 @@ let test_retry_over_budget () =
     Mt.Runner.run ~jobs:1 ~retry:(fast_retry 2)
       [
         Mt.Runner.job
-          ~budget:{ Mt.Runner.no_budget with node_budget = Some 10 }
+          ~budget:{ Resil.Degrade.no_budget with node_budget = Some 10 }
           ~label:"hog"
           (fun man -> Bdd.size (Bdd.conj man (List.init 24 (Bdd.ithvar man))));
       ]

@@ -68,7 +68,7 @@ let test_degraded_certificate_is_sound () =
     {
       Serve.Server.default_config with
       workers = 1;
-      limits = { Serve.Handler.node_budget = Some 600; deadline = None };
+      limits = { Resil.Degrade.node_budget = Some 600; deadline = None };
     }
   in
   with_server cfg (fun t ->
@@ -231,6 +231,70 @@ let test_table_full_is_degraded () =
           Alcotest.(check bool)
             "table-full result is an under-approximation" true
             (Bdd.leq man got exact)))
+
+(* --- a budget a request cannot degrade under ---------------------------- *)
+
+(* The bad-order F and parity G of the first ladder test, on an
+   in-process session.  Under the same 600-node budget F XOR G cannot be
+   rescued: XOR is not monotone, so the reply is a typed Error after the
+   gc retry, never Degraded.  The same request without a budget then
+   succeeds, so the failed walk left nothing armed.  A Put of a 2046-node
+   BDD under that budget walks the same ladder: it is retried after a
+   collection before it fails. *)
+let test_not_degradable_is_an_error () =
+  let session = Serve.Session.create ~id:0 () in
+  let unlimited = Resil.Degrade.no_budget
+  and budget = { Resil.Degrade.no_budget with node_budget = Some 600 } in
+  let call limits req = Serve.Handler.handle limits session req in
+  let handle req =
+    match call unlimited req with
+    | Serve.Proto.Handle { id; _ } -> id
+    | r -> Alcotest.failf "expected a handle, got %a" Serve.Proto.pp_reply r
+  in
+  let exhausted what req =
+    match call budget req with
+    | Serve.Proto.Error m ->
+        Alcotest.(check string)
+          what "budget exhausted (request is not degradable)" m
+    | r ->
+        Alcotest.failf "%s: expected Error, got %a" what Serve.Proto.pp_reply
+          r
+  in
+  let lits =
+    Array.init 16 (fun v -> handle (Serve.Proto.Lit { var = v; phase = true }))
+  in
+  let apply op = handle (Serve.Proto.Apply op) in
+  let f = ref (apply (Serve.Proto.And (lits.(0), lits.(8)))) in
+  for i = 1 to 7 do
+    let p = apply (Serve.Proto.And (lits.(i), lits.(8 + i))) in
+    f := apply (Serve.Proto.Or (!f, p))
+  done;
+  let g = ref lits.(0) in
+  for v = 1 to 15 do
+    g := apply (Serve.Proto.Xor (!g, lits.(v)))
+  done;
+  let xor = Serve.Proto.Apply (Serve.Proto.Xor (!f, !g)) in
+  exhausted "xor under the budget" xor;
+  ignore (handle xor);
+  (* a payload none of whose nodes the session holds *)
+  let man = Bdd.create ~nvars:20 () in
+  let big =
+    List.fold_left
+      (fun acc i ->
+        Bdd.bor man acc
+          (Bdd.band man (Bdd.ithvar man i) (Bdd.ithvar man (10 + i))))
+      (Bdd.ff man) (List.init 10 Fun.id)
+  in
+  Alcotest.(check int) "payload size" 2046 (Bdd.size big);
+  let gc_runs () =
+    List.assoc "gc_runs" (Bdd.stats (Serve.Session.man session))
+  in
+  let before = gc_runs () in
+  exhausted "put under the budget"
+    (Serve.Proto.Put
+       { bdd = Bdd.serialized_to_string (Bdd.export man big) });
+  Alcotest.(check bool) "put was retried after a collection" true
+    (gc_runs () > before)
 
 (* --- durable sessions: attach, resume, dedup ---------------------------- *)
 
@@ -754,7 +818,7 @@ let test_direct_call_oracle () =
           for i = 1 to 400 do
             let req = request () in
             let reply =
-              Serve.Handler.handle Serve.Handler.no_limits local req
+              Serve.Handler.handle Resil.Degrade.no_budget local req
             in
             Serve.Client.post c req;
             Alcotest.(check string)
@@ -778,6 +842,8 @@ let tests =
         test_deadline_rescued_on_the_ladder;
       Alcotest.test_case "Table_full degrades instead of erroring" `Quick
         test_table_full_is_degraded;
+      Alcotest.test_case "a non-degradable request under budget is an Error"
+        `Quick test_not_degradable_is_an_error;
       Alcotest.test_case "attach resumes a durable session's handles" `Quick
         test_attach_resume_preserves_handles;
       Alcotest.test_case "idempotency tokens dedup to exactly-once" `Quick

@@ -369,6 +369,44 @@ let test_stale_socket_is_reclaimed () =
           | exception Unix.Unix_error (Unix.EADDRINUSE, _, _) ->
               server_still_answers t))
 
+(* --- config validation ------------------------------------------------ *)
+
+(* A config the server cannot run must be refused before a socket exists:
+   a zero queue depth used to raise only after the listener was bound
+   (the next start on the path then hit EADDRINUSE), and a zero table
+   capacity used to kill the event loop at the first accepted connection. *)
+let test_bad_config_binds_nothing () =
+  let dir = Filename.temp_file "serve_cfg" "" in
+  Unix.unlink dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "bdd.sock" in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.unlink path with Unix.Unix_error _ -> ());
+      try Unix.rmdir dir with Unix.Unix_error _ -> ())
+    (fun () ->
+      let cfg =
+        { Serve.Server.default_config with bind = Serve.Server.Unix_path path }
+      in
+      List.iter
+        (fun (what, bad) ->
+          (match Serve.Server.start bad with
+          | t ->
+              Serve.Server.drain t;
+              Alcotest.failf "%s: started" what
+          | exception Invalid_argument _ -> ());
+          Alcotest.(check bool)
+            (what ^ ": no socket file") false (Sys.file_exists path))
+        [
+          ("workers 0", { cfg with workers = 0 });
+          ("queue depth 0", { cfg with queue_depth = 0 });
+          ("table capacity 0", { cfg with table_capacity = Some 0 });
+        ];
+      let t = Serve.Server.start cfg in
+      Fun.protect
+        ~finally:(fun () -> Serve.Server.drain t)
+        (fun () -> server_still_answers t))
+
 let tests =
   ( "serve-hostile",
     [
@@ -393,4 +431,6 @@ let tests =
         test_journal_negative_counts;
       Alcotest.test_case "stale socket files are reclaimed, live ones are not"
         `Quick test_stale_socket_is_reclaimed;
+      Alcotest.test_case "a rejected config binds nothing" `Quick
+        test_bad_config_binds_nothing;
     ] )
