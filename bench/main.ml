@@ -53,7 +53,7 @@ type t1_row = {
   circuit : Circuit.t;
   rua : High_density.params;
   sp : High_density.params;
-  budget : float; (* CPU-seconds granted to each engine *)
+  budget : float; (* wall-clock seconds granted to each engine *)
 }
 
 let table1_rows () =

@@ -250,11 +250,6 @@ let par_image ?pool man =
   (r.Traversal.states, fingerprint man r.Traversal.reached)
 
 let par_relprod ?pool man =
-  let exist_and man ~vars f g =
-    match pool with
-    | Some p -> Bdd.par_exist_and p man ~vars f g
-    | None -> Bdd.and_exists man ~vars f g
-  in
   let circuit =
     Generate.random_netlist ~inputs:18 ~gates:140 ~outputs:6 ~seed:17
   in
@@ -270,7 +265,7 @@ let par_relprod ?pool man =
     (fun f ->
       List.iter
         (fun g ->
-          let r = exist_and man ~vars:cube f g in
+          let r = Bdd.and_exists ?pool man ~vars:cube f g in
           total := !total + Bdd.size r;
           Buffer.add_string digests (fingerprint man r))
         fns)
@@ -569,6 +564,19 @@ let validate path =
         (fun k -> ignore (number kvs k))
         [ "ops"; "minor_words_per_op"; "ns_per_op" ])
     probes;
+  (* the zero-allocation claim of DESIGN.md §Kernel: a cache-hitting band
+     and a table-hitting mk allocate nothing *)
+  List.iter
+    (fun name ->
+      match
+        List.find_opt (fun p -> field (obj p) "name" = Str name) probes
+      with
+      | None -> fail "probe %s is missing" name
+      | Some p ->
+          let w = number (obj p) "minor_words_per_op" in
+          if w <> 0.0 then
+            fail "probe %s allocates %g minor words per op, want 0" name w)
+    [ "hit_band"; "hit_mk" ];
   let totals = obj (field top "totals") in
   List.iter
     (fun k -> ignore (number totals k))

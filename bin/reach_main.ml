@@ -83,7 +83,8 @@ let time_limit_arg =
   Arg.(
     value
     & opt (some float) None
-    & info [ "time-limit" ] ~docv:"SECONDS" ~doc:"Abort after this CPU time.")
+    & info [ "time-limit" ] ~docv:"SECONDS"
+        ~doc:"Abort after this many wall-clock seconds.")
 
 let node_limit_arg =
   Arg.(

@@ -971,13 +971,51 @@ let fcache_add man c k v =
 (* ITE and the binary connectives                                     *)
 (* ------------------------------------------------------------------ *)
 
-let rec ite man f g h =
+(* With a [?pool] of two or more workers, [ite], [apply] and [and_exists]
+   fork the hi cofactor branch onto the pool and run the lo branch inline
+   while their fork budget lasts: log2(workers) + 4 levels, so the fork
+   count per operation is O(2^budget) regardless of operand size.  A few
+   levels beyond log2(workers) keeps every worker fed even when the
+   cofactor tree is skewed, without drowning the deques in tiny tasks.
+   Once the budget is spent, and always without a pool, the recursion is
+   the sequential kernel, node for node: same caches, same unique table,
+   same evaluation order, nothing allocated beyond it.  Results are
+   bit-identical either way: both build canonical nodes in the same
+   hash-consing table, so the schedule can only change which domain
+   publishes a node first, never which node represents a function. *)
+let check_shared name pool man =
+  if Tpool.size pool > 1 && not man.shared then
+    invalid_arg (name ^ ": manager was not created with ~shared:true")
+
+let fork_budget name man = function
+  | None -> 0
+  | Some pool ->
+      check_shared name pool man;
+      let n = Tpool.size pool in
+      if n <= 1 then 0 else ilog2 n + 4
+
+(* Fork the hi-branch, compute the lo-branch inline, join.  On an
+   exception from the inline branch (Node_limit, a deadline tick), the
+   forked task is cancelled-or-awaited before unwinding so it cannot
+   outlive the operation and race a later quiescent gc. *)
+let fork_join pool go1 go0 =
+  let fut = Tpool.fork pool go1 in
+  let r0 =
+    try go0 ()
+    with e ->
+      Tpool.cancel pool fut;
+      raise e
+  in
+  let r1 = Tpool.join pool fut in
+  (r1, r0)
+
+let rec ite_rec man pool budget f g h =
   if is_true f then g
   else if is_false f then h
   else if g == h then g
   else if is_true g && is_false h then f
-  else if f == g then ite man f man.tt h
-  else if f == h then ite man f g man.ff
+  else if f == g then ite_rec man pool budget f man.tt h
+  else if f == h then ite_rec man pool budget f g man.ff
   else
     let r = cache_find man man.ite_cache f.uid g.uid h.uid in
     if r.uid >= 0 then r
@@ -987,11 +1025,27 @@ let rec ite man f g h =
       let f1, f0 = cofactors man f lv
       and g1, g0 = cofactors man g lv
       and h1, h0 = cofactors man h lv in
-      let r1 = ite man f1 g1 h1 and r0 = ite man f0 g0 h0 in
-      let r = mk_raw man v r1 r0 in
+      let r =
+        match pool with
+        | Some p when budget > 0 ->
+            let budget = budget - 1 in
+            let r1, r0 =
+              fork_join p
+                (fun () -> ite_rec man pool budget f1 g1 h1)
+                (fun () -> ite_rec man pool budget f0 g0 h0)
+            in
+            mk_raw man v r1 r0
+        | _ ->
+            let r1 = ite_rec man pool budget f1 g1 h1
+            and r0 = ite_rec man pool budget f0 g0 h0 in
+            mk_raw man v r1 r0
+      in
       cache_add man man.ite_cache f.uid g.uid h.uid r;
       r
     end
+
+let ite ?pool man f g h =
+  ite_rec man pool (fork_budget "Bdd.ite" man pool) f g h
 
 let rec bnot man f =
   if is_true f then man.ff
@@ -1008,7 +1062,7 @@ let rec bnot man f =
     end
 
 (* Binary apply with terminal-case functions, sharing one tagged cache. *)
-let rec apply man tag term f g =
+let rec apply man pool budget tag term f g =
   match term man f g with
   | Some r -> r
   | None ->
@@ -1020,9 +1074,21 @@ let rec apply man tag term f g =
         let lv = min (level man f) (level man g) in
         let v = man.level_var.(lv) in
         let f1, f0 = cofactors man f lv and g1, g0 = cofactors man g lv in
-        let r1 = apply man tag term f1 g1
-        and r0 = apply man tag term f0 g0 in
-        let r = mk_raw man v r1 r0 in
+        let r =
+          match pool with
+          | Some p when budget > 0 ->
+              let budget = budget - 1 in
+              let r1, r0 =
+                fork_join p
+                  (fun () -> apply man pool budget tag term f1 g1)
+                  (fun () -> apply man pool budget tag term f0 g0)
+              in
+              mk_raw man v r1 r0
+          | _ ->
+              let r1 = apply man pool budget tag term f1 g1
+              and r0 = apply man pool budget tag term f0 g0 in
+              mk_raw man v r1 r0
+        in
         cache_add man man.op_cache tag f.uid g.uid r;
         r
       end
@@ -1049,14 +1115,22 @@ let xor_term man f g =
   else if is_true g then Some (bnot man f)
   else None
 
-let band man f g = apply man tag_and and_term f g
-let bor man f g = apply man tag_or or_term f g
-let bxor man f g = apply man tag_xor xor_term f g
+let band ?pool man f g =
+  apply man pool (fork_budget "Bdd.band" man pool) tag_and and_term f g
+
+let bor ?pool man f g =
+  apply man pool (fork_budget "Bdd.bor" man pool) tag_or or_term f g
+
+let bxor ?pool man f g =
+  apply man pool (fork_budget "Bdd.bxor" man pool) tag_xor xor_term f g
+
 let bnand man f g = bnot man (band man f g)
 let bnor man f g = bnot man (bor man f g)
 let biff man f g = bnot man (bxor man f g)
 let bimp man f g = ite man f g man.tt
-let bdiff man f g = ite man g man.ff f
+let bdiff ?pool man f g =
+  ite_rec man pool (fork_budget "Bdd.bdiff" man pool) g man.ff f
+
 let conj man fs = List.fold_left (band man) man.tt fs
 let disj man fs = List.fold_left (bor man) man.ff fs
 
@@ -1192,7 +1266,7 @@ let rec exists man ~vars f =
 
 let forall man ~vars f = bnot man (exists man ~vars (bnot man f))
 
-let rec and_exists man ~vars f g =
+let rec and_exists_rec man pool budget vars f g =
   if is_false f || is_false g then man.ff
   else if is_true vars then band man f g
   else if is_true f then exists man ~vars g
@@ -1206,24 +1280,35 @@ let rec and_exists man ~vars f g =
       let lf = level man f and lg = level man g and lc = level man vars in
       let lv = min lf lg in
       let r =
-        if lc < lv then and_exists man ~vars:(high vars) f g
+        if lc < lv then and_exists_rec man pool budget (high vars) f g
         else
           let v = man.level_var.(lv) in
           let f1, f0 = cofactors man f lv
           and g1, g0 = cofactors man g lv in
-          if lc = lv then
-            let vars = high vars in
-            bor man
-              (and_exists man ~vars f1 g1)
-              (and_exists man ~vars f0 g0)
-          else
-            mk_raw man v
-              (and_exists man ~vars f1 g1)
-              (and_exists man ~vars f0 g0)
+          (* at a quantified level the branches are joined by [bor] *)
+          let sub = if lc = lv then high vars else vars in
+          match pool with
+          | Some p when budget > 0 ->
+              let budget = budget - 1 in
+              let r1, r0 =
+                fork_join p
+                  (fun () -> and_exists_rec man pool budget sub f1 g1)
+                  (fun () -> and_exists_rec man pool budget sub f0 g0)
+              in
+              if lc = lv then bor man r1 r0 else mk_raw man v r1 r0
+          | _ ->
+              (* lo first, unlike apply and ite: the order in which nodes
+                 get their uids, and so the kernel counters, rest on it *)
+              let r0 = and_exists_rec man pool budget sub f0 g0 in
+              let r1 = and_exists_rec man pool budget sub f1 g1 in
+              if lc = lv then bor man r1 r0 else mk_raw man v r1 r0
       in
       cache_add man man.andex_cache f.uid g.uid vars.uid r;
       r
     end
+
+let and_exists ?pool man ~vars f g =
+  and_exists_rec man pool (fork_budget "Bdd.and_exists" man pool) vars f g
 
 (* ------------------------------------------------------------------ *)
 (* Generalized cofactors                                              *)
@@ -1797,157 +1882,6 @@ let contention (man : man) =
     cache_inserts = sc_read man.sc_inserts;
     cache_probes = sc_read man.sc_hits + sc_read man.sc_misses;
   }
-
-(* Forked subproblems stop at a depth cutoff and fall back to the plain
-   sequential recursions — same caches, same unique table — so the fork
-   count per operation is O(2^cutoff) regardless of operand size.  A few
-   levels beyond log2(workers) keeps every worker fed even when the
-   cofactor tree is skewed, without drowning the deques in tiny tasks.
-   Results are bit-identical to the sequential kernel by construction:
-   both build canonical nodes in the same hash-consing table, so the
-   schedule can only change which domain publishes a node first, never
-   which node represents a function. *)
-let par_cutoff pool = ilog2 (Tpool.size pool) + 4
-
-let check_shared name pool man =
-  if Tpool.size pool > 1 && not man.shared then
-    invalid_arg (name ^ ": manager was not created with ~shared:true")
-
-(* Fork the hi-branch, compute the lo-branch inline, join.  On an
-   exception from the inline branch (Node_limit, a deadline tick), the
-   forked task is cancelled-or-awaited before unwinding so it cannot
-   outlive the operation and race a later quiescent gc. *)
-let fork_join pool go1 go0 =
-  let fut = Tpool.fork pool go1 in
-  let r0 =
-    try go0 ()
-    with e ->
-      Tpool.cancel pool fut;
-      raise e
-  in
-  let r1 = Tpool.join pool fut in
-  (r1, r0)
-
-let par_apply pool man op f g =
-  let tag, term =
-    match op with
-    | `And -> (tag_and, and_term)
-    | `Or -> (tag_or, or_term)
-    | `Xor -> (tag_xor, xor_term)
-  in
-  if Tpool.size pool <= 1 then apply man tag term f g
-  else begin
-    check_shared "Bdd.par_apply" pool man;
-    let cutoff = par_cutoff pool in
-    let rec go depth f g =
-      match term man f g with
-      | Some r -> r
-      | None ->
-          let f, g = if f.uid <= g.uid then (f, g) else (g, f) in
-          let r = cache_find man man.op_cache tag f.uid g.uid in
-          if r.uid >= 0 then r
-          else if depth >= cutoff then apply man tag term f g
-          else begin
-            let lv = min (level man f) (level man g) in
-            let v = man.level_var.(lv) in
-            let f1, f0 = cofactors man f lv and g1, g0 = cofactors man g lv in
-            let r1, r0 =
-              fork_join pool
-                (fun () -> go (depth + 1) f1 g1)
-                (fun () -> go (depth + 1) f0 g0)
-            in
-            let r = mk_raw man v r1 r0 in
-            cache_add man man.op_cache tag f.uid g.uid r;
-            r
-          end
-    in
-    go 0 f g
-  end
-
-let par_ite pool man f g h =
-  if Tpool.size pool <= 1 then ite man f g h
-  else begin
-    check_shared "Bdd.par_ite" pool man;
-    let cutoff = par_cutoff pool in
-    (* same terminal rewrite chain as the sequential [ite] *)
-    let rec go depth f g h =
-      if is_true f then g
-      else if is_false f then h
-      else if g == h then g
-      else if is_true g && is_false h then f
-      else if f == g then go depth f man.tt h
-      else if f == h then go depth f g man.ff
-      else
-        let r = cache_find man man.ite_cache f.uid g.uid h.uid in
-        if r.uid >= 0 then r
-        else if depth >= cutoff then ite man f g h
-        else begin
-          let lv = min (level man f) (min (level man g) (level man h)) in
-          let v = man.level_var.(lv) in
-          let f1, f0 = cofactors man f lv
-          and g1, g0 = cofactors man g lv
-          and h1, h0 = cofactors man h lv in
-          let r1, r0 =
-            fork_join pool
-              (fun () -> go (depth + 1) f1 g1 h1)
-              (fun () -> go (depth + 1) f0 g0 h0)
-          in
-          let r = mk_raw man v r1 r0 in
-          cache_add man man.ite_cache f.uid g.uid h.uid r;
-          r
-        end
-    in
-    go 0 f g h
-  end
-
-let par_exist_and pool man ~vars f g =
-  if Tpool.size pool <= 1 then and_exists man ~vars f g
-  else begin
-    check_shared "Bdd.par_exist_and" pool man;
-    let cutoff = par_cutoff pool in
-    let rec go depth vars f g =
-      if is_false f || is_false g then man.ff
-      else if is_true vars then band man f g
-      else if is_true f then exists man ~vars g
-      else if is_true g then exists man ~vars f
-      else if f == g then exists man ~vars f
-      else
-        let f, g = if f.uid <= g.uid then (f, g) else (g, f) in
-        let r = cache_find man man.andex_cache f.uid g.uid vars.uid in
-        if r.uid >= 0 then r
-        else if depth >= cutoff then and_exists man ~vars f g
-        else begin
-          let lf = level man f and lg = level man g and lc = level man vars in
-          let lv = min lf lg in
-          let r =
-            if lc < lv then go depth (high vars) f g
-            else
-              let v = man.level_var.(lv) in
-              let f1, f0 = cofactors man f lv
-              and g1, g0 = cofactors man g lv in
-              if lc = lv then begin
-                let vars = high vars in
-                let r1, r0 =
-                  fork_join pool
-                    (fun () -> go (depth + 1) vars f1 g1)
-                    (fun () -> go (depth + 1) vars f0 g0)
-                in
-                bor man r1 r0
-              end
-              else
-                let r1, r0 =
-                  fork_join pool
-                    (fun () -> go (depth + 1) vars f1 g1)
-                    (fun () -> go (depth + 1) vars f0 g0)
-                in
-                mk_raw man v r1 r0
-          in
-          cache_add man man.andex_cache f.uid g.uid vars.uid r;
-          r
-        end
-    in
-    go 0 vars f g
-  end
 
 module Scratch = struct
   type table = scratch

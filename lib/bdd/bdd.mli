@@ -109,22 +109,36 @@ val mk : man -> var:int -> hi:t -> lo:t -> t
     Returns [hi] when [hi == lo].  @raise Invalid_argument if the top
     variable of [hi] or [lo] is not strictly below [var] in the order. *)
 
-(** {1 Boolean connectives} *)
+(** {1 Boolean connectives}
+
+    [band], [bor], [bxor], [bdiff], [ite] and {!and_exists} take an
+    optional [?pool].  With a pool of two or more workers over a
+    [~shared:true] manager, each forks one cofactor branch onto the pool
+    and runs the other inline while a budget of [log2(workers) + 4]
+    levels remains, then recurses sequentially on the same caches and
+    unique table.  Results are {e bit-identical} to the sequential
+    kernel: hash-consing canonicity means the schedule can only decide
+    which domain publishes a node first, never which node represents a
+    function.  Without a pool, or with a one-worker pool, they are the
+    sequential kernel and work on any manager; with a larger pool they
+    raise [Invalid_argument] unless the manager is shared.  The
+    operations they call inside (the [bnot] of [bxor], the [band], [bor]
+    and [exists] of [and_exists]) stay sequential. *)
 
 val bnot : man -> t -> t
-val band : man -> t -> t -> t
-val bor : man -> t -> t -> t
-val bxor : man -> t -> t -> t
+val band : ?pool:Tpool.t -> man -> t -> t -> t
+val bor : ?pool:Tpool.t -> man -> t -> t -> t
+val bxor : ?pool:Tpool.t -> man -> t -> t -> t
 val bnand : man -> t -> t -> t
 val bnor : man -> t -> t -> t
 val biff : man -> t -> t -> t
 val bimp : man -> t -> t -> t
 (** [bimp man f g] is [¬f ∨ g]. *)
 
-val bdiff : man -> t -> t -> t
+val bdiff : ?pool:Tpool.t -> man -> t -> t -> t
 (** [bdiff man f g] is [f ∧ ¬g]. *)
 
-val ite : man -> t -> t -> t -> t
+val ite : ?pool:Tpool.t -> man -> t -> t -> t -> t
 (** [ite man f g h] is [f·g + f'·h]. *)
 
 val conj : man -> t list -> t
@@ -136,31 +150,6 @@ val disj : man -> t list -> t
 val leq : man -> t -> t -> bool
 (** [leq man f g] tests functional containment [f ≤ g] (implication),
     without building the implication BDD. *)
-
-(** {1 Parallel operations}
-
-    Fork/join variants of the core recursions, executing on a {!Tpool.t}
-    over a [~shared:true] manager.  Each forks the two cofactor branches
-    onto the pool down to a depth cutoff of [log2(workers) + 4] and runs
-    the plain sequential recursion (same caches, same unique table)
-    below it, so results are {e bit-identical} to the sequential kernel:
-    hash-consing canonicity means the schedule can only decide which
-    domain publishes a node first, never which node represents a
-    function.
-
-    With a pool of size 1 these are exactly the sequential operations
-    and work on any manager.  With a larger pool they
-    @raise Invalid_argument unless the manager is shared. *)
-
-val par_apply : Tpool.t -> man -> [ `And | `Or | `Xor ] -> t -> t -> t
-(** Parallel {!band} / {!bor} / {!bxor}. *)
-
-val par_ite : Tpool.t -> man -> t -> t -> t -> t
-(** Parallel {!ite}. *)
-
-val par_exist_and : Tpool.t -> man -> vars:t -> t -> t -> t
-(** Parallel {!and_exists} (relational product), the workhorse of image
-    computation. *)
 
 type contention = {
   cas_retries : int;
@@ -212,8 +201,9 @@ val exists : man -> vars:t -> t -> t
 
 val forall : man -> vars:t -> t -> t
 
-val and_exists : man -> vars:t -> t -> t -> t
-(** Relational product: [∃ vars. f ∧ g] without building [f ∧ g]. *)
+val and_exists : ?pool:Tpool.t -> man -> vars:t -> t -> t -> t
+(** Relational product: [∃ vars. f ∧ g] without building [f ∧ g], the
+    workhorse of image computation. *)
 
 val constrain : man -> t -> t -> t
 (** Coudert–Madre generalized cofactor ("constrain"): [constrain man f c]

@@ -1,9 +1,9 @@
 (** Fork/join task pool over work-stealing deques.
 
     The repository's one work-stealing scheduler: the execution substrate
-    of the parallel kernel operations ({!Bdd.par_apply}, {!Bdd.par_ite},
-    {!Bdd.par_exist_and}) and of [Mt.Runner], whose jobs are root tasks
-    here.  A fixed set of helper domains plus the calling domain, fed
+    of the parallel kernel (the [?pool] of {!Bdd.band}, {!Bdd.bor},
+    {!Bdd.bxor}, {!Bdd.bdiff}, {!Bdd.ite} and {!Bdd.and_exists}) and of
+    [Mt.Runner], whose jobs are root tasks here.  A fixed set of helper domains plus the calling domain, fed
     through per-slot {!Wsdeque}s.  Joining a pending future {e helps} —
     the joiner runs other queued tasks instead of blocking — so fork/join
     trees of any depth cannot deadlock on a finite pool, and a pool of

@@ -1,20 +1,7 @@
 let run ?(max_iter = max_int) ?time_limit ?node_limit ?gc_start
     ?(sift = false) ?degrade:meth ?checkpoint ?resume ?pool trans =
   let man = Trans.man trans in
-  (* with a pool, the frontier bookkeeping joins the image on the workers;
-     par_* results are bit-identical to the sequential operations *)
-  let bor man f g =
-    match pool with
-    | Some pool -> Bdd.par_apply pool man `Or f g
-    | None -> Bdd.bor man f g
-  in
-  let bdiff man f g =
-    (* f ∧ ¬g as ite(g, false, f) *)
-    match pool with
-    | Some pool -> Bdd.par_ite pool man g (Bdd.ff man) f
-    | None -> Bdd.bdiff man f g
-  in
-  let start = Sys.time () in
+  let start = Sys.time () and t0 = Obs.Timing.wall () in
   let compiled = trans.Trans.compiled in
   let maint = Traversal.make_maintenance ?gc_start sift in
   let deg = Resil.Degrade.create ?meth () in
@@ -33,7 +20,7 @@ let run ?(max_iter = max_int) ?time_limit ?node_limit ?gc_start
   let exact = ref false in
   let expired () =
     match time_limit with
-    | Some l -> Sys.time () -. start > l
+    | Some l -> Obs.Timing.wall () -. t0 > l
     | None -> false
   in
   Bdd.set_node_limit man node_limit;
@@ -50,10 +37,11 @@ let run ?(max_iter = max_int) ?time_limit ?node_limit ?gc_start
     in
     incr images;
     peak_product := max !peak_product stats.Image.peak_product;
-    let fresh = bdiff man img !reached in
+    (* with a pool, the frontier bookkeeping forks on its workers too *)
+    let fresh = Bdd.bdiff ?pool man img !reached in
     peak_live := max !peak_live (Bdd.unique_size man);
-    reached := bor man !reached fresh;
-    frontier := bor man leftover fresh;
+    reached := Bdd.bor ?pool man !reached fresh;
+    frontier := Bdd.bor ?pool man leftover fresh;
     if Bdd.is_false !frontier then begin
       exact := true;
       raise Exit

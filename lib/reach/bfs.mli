@@ -14,8 +14,11 @@ val run :
   Trans.t ->
   Traversal.result
 (** Least fixpoint of [λR. init ∨ Img(R)] by frontier iteration.
-    [time_limit] (CPU seconds) aborts the run, reporting [exact = false]
-    — the analogue of the paper's "> 2 weeks" entry.  [node_limit] is the
+    [time_limit] (wall-clock seconds from the start of the run) aborts
+    the run, reporting [exact = false] — the analogue of the paper's
+    "> 2 weeks" entry.  It counts wall time, not the process CPU time of
+    [cpu_seconds], which sums over every domain and so would cut a run
+    short whenever sibling domains are busy.  [node_limit] is the
     analogue of the paper's 256 MB memory ceiling (s1269 needed a 1 GB
     machine; see DESIGN.md on emulating 1998 resource budgets) — but
     instead of aborting, an image step that still blows the ceiling after

@@ -12,7 +12,7 @@ exception Out_of_budget
 let run ?(max_iter = max_int) ?time_limit ?node_limit ?gc_start
     ?(sift = false) ?(params = default) ?checkpoint ?resume ?pool trans =
   let man = Trans.man trans in
-  let start = Sys.time () in
+  let start = Sys.time () and t0 = Obs.Timing.wall () in
   let nlatches = Array.length trans.Trans.compiled.Compile.latches in
   let maint = Traversal.make_maintenance ?gc_start sift in
   let deg = Resil.Degrade.create ~meth:params.meth () in
@@ -41,7 +41,7 @@ let run ?(max_iter = max_int) ?time_limit ?node_limit ?gc_start
   let papprox = ref 0 in
   let expired () =
     match time_limit with
-    | Some l -> Sys.time () -. start > l
+    | Some l -> Obs.Timing.wall () -. t0 > l
     | None -> false
   in
   Bdd.set_node_limit man node_limit;

@@ -37,9 +37,10 @@ val run :
   ?pool:Tpool.t ->
   Trans.t ->
   Traversal.result
-(** High-density traversal to the exact fixpoint.  [time_limit],
-    [node_limit], [gc_start], [sift], [checkpoint], [resume] and [pool]
-    as in {!Bfs.run}; an image step that blows the node budget even after a
+(** High-density traversal to the exact fixpoint.  [time_limit]
+    (wall-clock seconds from the start of the run), [node_limit],
+    [gc_start], [sift], [checkpoint], [resume] and [pool] as in
+    {!Bfs.run}; an image step that blows the node budget even after a
     collection walks the {!Resil.Degrade} ladder (with [params.meth] as
     its under-approximation method) before the engine concedes
     [exact = false]. *)

@@ -15,13 +15,6 @@ let image ?partial ?pool trans f =
         approx p
     | Some _ | None -> p
   in
-  (* cluster products are the expensive step: with a pool, fork the
-     relational-product recursion across its workers *)
-  let and_exists man ~vars p rel =
-    match pool with
-    | Some pool -> Bdd.par_exist_and pool man ~vars p rel
-    | None -> Bdd.and_exists man ~vars p rel
-  in
   (* variables in no cluster can leave the source set immediately *)
   let p0 =
     clip (Bdd.exists man ~vars:trans.Trans.frontier_quantify f)
@@ -30,7 +23,7 @@ let image ?partial ?pool trans f =
     List.fold_left
       (fun p { Trans.rel; quantify } ->
         if Bdd.is_false p then p
-        else clip (and_exists man ~vars:quantify p rel))
+        else clip (Bdd.and_exists ?pool man ~vars:quantify p rel))
       p0 trans.Trans.clusters
   in
   (* [product] is now over next-state variables only *)

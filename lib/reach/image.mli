@@ -10,11 +10,11 @@
     {e subset} of the exact image — which high-density traversal tolerates
     and exploits.
 
-    The [pool] hook runs each cluster's relational product through
-    {!Bdd.par_exist_and} on the given fork/join pool.  The transition
-    system's manager must then be shared ([Bdd.create ~shared:true], as
-    [Compile.compile ~man] permits); results are bit-identical to the
-    sequential path. *)
+    The [pool] hook is the [?pool] of each cluster's relational product
+    ({!Bdd.and_exists}), which forks its recursion on that pool.  The
+    transition system's manager must then be shared
+    ([Bdd.create ~shared:true], as [Compile.compile ~man] permits);
+    results are bit-identical to the sequential path. *)
 
 type stats = { peak_product : int; approximations : int }
 

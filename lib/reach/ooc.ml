@@ -43,7 +43,7 @@ type regime =
 let run ?(max_iter = max_int) ?time_limit ?store_dir ?mem_bound
     ?disk_budget_bytes ~hot_budget trans =
   let man = Trans.man trans in
-  let start = Sys.time () in
+  let start = Sys.time () and t0 = Obs.Timing.wall () in
   let compiled = trans.Trans.compiled in
   let nlatches = Array.length compiled.Compile.latches in
   let deg = Resil.Degrade.create () in
@@ -58,7 +58,7 @@ let run ?(max_iter = max_int) ?time_limit ?store_dir ?mem_bound
   let hot_faults = ref 0 in
   let expired () =
     match time_limit with
-    | Some l -> Sys.time () -. start > l
+    | Some l -> Obs.Timing.wall () -. t0 > l
     | None -> false
   in
   let roots () =

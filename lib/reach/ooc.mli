@@ -44,5 +44,7 @@ val run :
     hot nodes (enforced through {!Bdd.set_node_limit}).  [store_dir]
     hosts the cold and spill files (default: a fresh temp directory,
     removed on return); [mem_bound] caps the streaming queues;
-    [disk_budget_bytes] bounds the cold tier.  The store is always closed
-    — and its files deleted — before returning. *)
+    [disk_budget_bytes] bounds the cold tier.  [time_limit] (wall-clock
+    seconds from the start of the run, as in {!Bfs.run}) stops the run
+    with [exact = false].  The store is always closed — and its files
+    deleted — before returning. *)

@@ -96,31 +96,9 @@ let degraded = function
 
 let apply ?pool limits session op =
   let man = Session.man session in
-  (* with a pool, the boolean connectives fork across its domains; the
-     par_* kernels are bit-identical to the sequential ones, so replies
-     (and their certificates) do not depend on the pool's presence *)
-  let band man a b =
-    match pool with
-    | Some p -> Bdd.par_apply p man `And a b
-    | None -> Bdd.band man a b
-  and bor man a b =
-    match pool with
-    | Some p -> Bdd.par_apply p man `Or a b
-    | None -> Bdd.bor man a b
-  and bxor man a b =
-    match pool with
-    | Some p -> Bdd.par_apply p man `Xor a b
-    | None -> Bdd.bxor man a b
-  and ite man a b c =
-    match pool with
-    | Some p -> Bdd.par_ite p man a b c
-    | None -> Bdd.ite man a b c
-  and exists man ~vars a =
-    (* ∃vars. a  =  ∃vars. a ∧ ⊤ *)
-    match pool with
-    | Some p -> Bdd.par_exist_and p man ~vars a (Bdd.tt man)
-    | None -> Bdd.exists man ~vars a
-  in
+  (* with a pool, the boolean connectives fork across its domains; they
+     are bit-identical to the sequential kernel, so replies (and their
+     certificates) do not depend on the pool's presence *)
   let monotone =
     match op with
     | Proto.And _ | Proto.Or _ | Proto.Exists _ -> true
@@ -136,17 +114,17 @@ let apply ?pool limits session op =
     | Proto.And (a, b) ->
         let a = get session a and b = get session b in
         budgeted limits session ~monotone (fun thr ->
-            band man (shrink man thr a) (shrink man thr b))
+            Bdd.band ?pool man (shrink man thr a) (shrink man thr b))
     | Proto.Or (a, b) ->
         let a = get session a and b = get session b in
         budgeted limits session ~monotone (fun thr ->
-            bor man (shrink man thr a) (shrink man thr b))
+            Bdd.bor ?pool man (shrink man thr a) (shrink man thr b))
     | Proto.Xor (a, b) ->
         let a = get session a and b = get session b in
-        budgeted limits session ~monotone (fun _ -> bxor man a b)
+        budgeted limits session ~monotone (fun _ -> Bdd.bxor ?pool man a b)
     | Proto.Ite (a, b, c) ->
         let a = get session a and b = get session b and c = get session c in
-        budgeted limits session ~monotone (fun _ -> ite man a b c)
+        budgeted limits session ~monotone (fun _ -> Bdd.ite ?pool man a b c)
     | Proto.Exists (vs, a) ->
         List.iter check_var vs;
         (* materialize the variables: Bdd.cube rejects indices the manager
@@ -154,7 +132,7 @@ let apply ?pool limits session op =
         List.iter (fun v -> ignore (Bdd.ithvar man v)) vs;
         let a = get session a in
         budgeted limits session ~monotone (fun thr ->
-            exists man ~vars:(Bdd.cube man vs) (shrink man thr a))
+            Bdd.exists man ~vars:(Bdd.cube man vs) (shrink man thr a))
     | Proto.Forall (vs, a) ->
         List.iter check_var vs;
         List.iter (fun v -> ignore (Bdd.ithvar man v)) vs;

@@ -42,7 +42,7 @@ val handle :
   Proto.reply
 (** Execute one request.  [stats_extra] is appended to [Stats] replies
     (the server injects its process-wide counters there).  [pool] forks
-    the boolean connectives ([And]/[Or]/[Xor]/[Ite]/[Exists]) and [Reach]
+    the boolean connectives ([And]/[Or]/[Xor]/[Ite]) and [Reach]
     image computation across the pool's domains; the session must then
     have been created with [Session.create ~shared:true].  Replies are
     bit-identical with and without a pool. *)

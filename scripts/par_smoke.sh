@@ -2,12 +2,14 @@
 # End-to-end smoke test of the parallel shared-memory kernel
 # (make par-smoke).
 #
-# Phase 1 — test matrix: the par, kernel and mt alcotest suites re-run
-# with PAR_TEST_DOMAINS="1 D" for D in 2 and 8, so the qcheck
-# par-vs-oracle bit-identity property and the shared-manager stress test
-# exercise both a modest and an oversubscribed domain count.  (On a
-# 1-core host every D > 1 oversubscribes; the point is correctness under
-# preemption, which oversubscription makes more likely, not speedup.)
+# Phase 1 — test matrix: every alcotest suite that reads PAR_TEST_DOMAINS
+# (par, kernel, mt and obs) re-runs with PAR_TEST_DOMAINS="1 D" for D in
+# 2 and 8, so the qcheck par-vs-oracle bit-identity properties, the
+# shared-manager stress test and the job runner exercise both a modest
+# and an oversubscribed domain count.  This is the repository's one
+# domain matrix; CI runs it through `make check`.  (On a 1-core host
+# every D > 1 oversubscribes; the point is correctness under preemption,
+# which oversubscription makes more likely, not speedup.)
 #
 # Phase 2 — engine round trip: a sequential BFS reach run saves its
 # reached set, then a --jobs 2 run on a shared manager must compute the
@@ -35,6 +37,7 @@ for D in 2 8; do
     PAR_TEST_DOMAINS="1 $D" "$TEST" test par -q
     PAR_TEST_DOMAINS="1 $D" "$TEST" test kernel -q
     PAR_TEST_DOMAINS="1 $D" "$TEST" test mt -q
+    PAR_TEST_DOMAINS="1 $D" "$TEST" test obs -q
 done
 
 echo "== par_smoke: phase 2 (sequential vs --jobs 2 round trip) =="

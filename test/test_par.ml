@@ -1,5 +1,5 @@
 (* Tests for the parallel kernel: the shared (striped) unique table, the
-   race-tolerant caches, and the par_* fork/join recursions.
+   race-tolerant caches, and the connectives' ?pool fork/join recursions.
 
    The domain counts exercised by the pool-based properties come from
    PAR_TEST_DOMAINS (space- or comma-separated, default "1 2 4") so the
@@ -34,24 +34,27 @@ let with_pool workers fn =
   let pool = Tpool.create ~workers in
   Fun.protect ~finally:(fun () -> Tpool.shutdown pool) (fun () -> fn pool)
 
-(* Tgen.build_bdd routed through the par_* entry points, so a random op
-   tree exercises par_apply and par_ite at every internal node. *)
+(* Tgen.build_bdd routed through the ?pool entry points, so a random op
+   tree forks band/bor/bxor/ite at every internal node, and bdiff at every
+   conjunction with a negated operand. *)
 let rec build_par pool man = function
   | Tgen.T -> Bdd.tt man
   | Tgen.F -> Bdd.ff man
   | Tgen.V i -> Bdd.ithvar man i
   | Tgen.Not e -> Bdd.bnot man (build_par pool man e)
+  | Tgen.And (a, Tgen.Not b) ->
+      Bdd.bdiff ~pool man (build_par pool man a) (build_par pool man b)
   | Tgen.And (a, b) ->
-      Bdd.par_apply pool man `And (build_par pool man a) (build_par pool man b)
+      Bdd.band ~pool man (build_par pool man a) (build_par pool man b)
   | Tgen.Or (a, b) ->
-      Bdd.par_apply pool man `Or (build_par pool man a) (build_par pool man b)
+      Bdd.bor ~pool man (build_par pool man a) (build_par pool man b)
   | Tgen.Xor (a, b) ->
-      Bdd.par_apply pool man `Xor (build_par pool man a) (build_par pool man b)
+      Bdd.bxor ~pool man (build_par pool man a) (build_par pool man b)
   | Tgen.Imp (a, b) ->
-      Bdd.par_ite pool man (build_par pool man a) (build_par pool man b)
+      Bdd.ite ~pool man (build_par pool man a) (build_par pool man b)
         (Bdd.tt man)
   | Tgen.Ite (a, b, c) ->
-      Bdd.par_ite pool man (build_par pool man a) (build_par pool man b)
+      Bdd.ite ~pool man (build_par pool man a) (build_par pool man b)
         (build_par pool man c)
 
 (* --- par ops vs the single-domain oracle ------------------------------ *)
@@ -80,33 +83,105 @@ let prop_par_exist_and e1 e2 =
           let man = Bdd.create ~nvars ~shared:(d > 1) () in
           let a = Tgen.build_bdd man e1 and b = Tgen.build_bdd man e2 in
           let vars = Bdd.cube man [ 0; 2; 4 ] in
-          export man (Bdd.par_exist_and pool man ~vars a b) = want))
+          export man (Bdd.and_exists ~pool man ~vars a b) = want))
     domain_counts
 
 (* --- pool-driven reachability vs the sequential engine ---------------- *)
 
+(* Bfs and High_density with reach-par's two parameter sets: RUA at
+   threshold 0 and SP at 1000. *)
+let engines =
+  let hd = High_density.default in
+  [
+    ("bfs", fun ?pool t -> Bfs.run ?pool t);
+    ( "hd-rua",
+      fun ?pool t ->
+        High_density.run ?pool
+          ~params:{ hd with threshold = 0; quality = 1.0 }
+          t );
+    ( "hd-sp",
+      fun ?pool t ->
+        High_density.run ?pool
+          ~params:{ hd with meth = Approx.SP; threshold = 1000 }
+          t );
+  ]
+
 let test_bfs_pool () =
-  let states trans pool =
-    let r = Bfs.run ?pool trans in
-    (r.Traversal.states, r.Traversal.reached)
-  in
   let build man =
     Trans.build (Compile.compile ~man (Generate.microsequencer ~addr_bits:3 ~stack_depth:2))
   in
-  let man0 = Bdd.create () in
-  let s0, r0 = states (build man0) None in
-  let want = export man0 r0 in
+  List.iter
+    (fun (name, run) ->
+      let states trans pool =
+        let r = run ?pool trans in
+        (r.Traversal.states, r.Traversal.reached)
+      in
+      let man0 = Bdd.create () in
+      let s0, r0 = states (build man0) None in
+      let want = export man0 r0 in
+      List.iter
+        (fun d ->
+          with_pool d (fun pool ->
+              let man = Bdd.create ~shared:(d > 1) () in
+              let s, r = states (build man) (Some pool) in
+              Alcotest.(check (float 0.0))
+                (Printf.sprintf "%s states @ %d domains" name d)
+                s0 s;
+              Alcotest.(check string)
+                (Printf.sprintf "%s reached set @ %d domains" name d)
+                want (export man r)))
+        domain_counts)
+    engines
+
+(* --- pooled serve requests vs the sequential handler ------------------- *)
+
+(* A seeded Lit/Apply sequence through Handler.handle ~pool on a shared
+   session draws the same reply frames, byte for byte, as the same
+   sequence on a session without a pool. *)
+let test_handler_pool () =
+  let nvars = 10 and requests = 300 in
+  let sequence () =
+    let rng = Random.State.make [| 21 |] in
+    let int n = Random.State.int rng n in
+    let live = ref 0 in
+    let handle () = 1 + int !live in
+    List.init requests (fun i ->
+        let open Serve.Proto in
+        let req =
+          if i < 4 || int 4 = 0 then
+            Lit { var = int nvars; phase = Random.State.bool rng }
+          else
+            match int 6 with
+            | 0 -> Apply (And (handle (), handle ()))
+            | 1 -> Apply (Or (handle (), handle ()))
+            | 2 -> Apply (Xor (handle (), handle ()))
+            | 3 -> Apply (Ite (handle (), handle (), handle ()))
+            | 4 -> Apply (Exists ([ int nvars; int nvars ], handle ()))
+            | _ -> Apply (Forall ([ int nvars ], handle ()))
+        in
+        incr live;
+        req)
+  in
+  let replies ?pool session =
+    List.map
+      (fun req ->
+        Serve.Proto.encode_reply
+          (Serve.Handler.handle ?pool Resil.Degrade.no_budget session req))
+      (sequence ())
+  in
+  let want = replies (Serve.Session.create ~id:0 ()) in
   List.iter
     (fun d ->
       with_pool d (fun pool ->
-          let man = Bdd.create ~shared:(d > 1) () in
-          let s, r = states (build man) (Some pool) in
-          Alcotest.(check (float 0.0))
-            (Printf.sprintf "states @ %d domains" d)
-            s0 s;
-          Alcotest.(check string)
-            (Printf.sprintf "reached set @ %d domains" d)
-            want (export man r)))
+          let got =
+            replies ~pool (Serve.Session.create ~shared:true ~id:0 ())
+          in
+          List.iteri
+            (fun i (w, g) ->
+              Alcotest.(check string)
+                (Printf.sprintf "reply %d @ %d domains" i d)
+                w g)
+            (List.combine want got)))
     domain_counts
 
 (* --- stress: concurrent mk/apply on one shared manager ---------------- *)
@@ -178,8 +253,8 @@ let test_par_requires_shared () =
   with_pool 2 (fun pool ->
       let man = Bdd.create ~nvars:2 () in
       let x = Bdd.ithvar man 0 and y = Bdd.ithvar man 1 in
-      match Bdd.par_apply pool man `And x y with
-      | _ -> Alcotest.fail "par_apply on a private manager should raise"
+      match Bdd.band ~pool man x y with
+      | _ -> Alcotest.fail "band ~pool on a private manager should raise"
       | exception Invalid_argument _ -> ())
 
 let test_pool_size_one_inline () =
@@ -188,7 +263,7 @@ let test_pool_size_one_inline () =
   with_pool 1 (fun pool ->
       let man = Bdd.create ~nvars:4 () in
       let x = Bdd.ithvar man 0 and y = Bdd.ithvar man 1 in
-      let r = Bdd.par_apply pool man `And x y in
+      let r = Bdd.band ~pool man x y in
       Alcotest.(check bool) "same as band" true
         (Bdd.equal r (Bdd.band man x y)))
 
@@ -241,6 +316,8 @@ let tests =
             (Tgen.arbitrary_expr ~nvars ~depth:5))
         (fun (a, b) -> prop_par_exist_and a b);
       Alcotest.test_case "Bfs ?pool bit-identical" `Quick test_bfs_pool;
+      Alcotest.test_case "Handler ?pool replies byte-identical" `Quick
+        test_handler_pool;
       Alcotest.test_case "4-domain shared-manager stress" `Quick
         test_shared_stress;
       Alcotest.test_case "par on private manager raises" `Quick

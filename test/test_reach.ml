@@ -299,6 +299,32 @@ let test_time_limit_zero () =
   Alcotest.(check bool) "not exact" false r.Traversal.exact;
   Alcotest.(check bool) "did not finish" true (r.Traversal.states < 256.0)
 
+(* The limit counts wall-clock seconds, not the process CPU time that
+   Sys.time sums over every domain: with one sibling domain spinning, a
+   CPU-time limit stops the run after about half its budget on a two-core
+   host. *)
+let test_time_limit_is_wall_clock () =
+  let limit = 0.4 in
+  let trans = Trans.build (Compile.compile (Generate.counter ~bits:20)) in
+  let stop = Atomic.make false in
+  let spinner =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Domain.cpu_relax ()
+        done)
+  in
+  let r, wall =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join spinner)
+      (fun () -> Obs.Timing.time (fun () -> Bfs.run ~time_limit:limit trans))
+  in
+  Alcotest.(check bool) "cut short" false r.Traversal.exact;
+  Alcotest.(check bool)
+    (Printf.sprintf "returned after %.2f s of a %.2f s limit" wall limit)
+    true (wall >= limit)
+
 let test_hd_c1_method () =
   (* the compound methods also work as subset extractors *)
   let c = Generate.johnson ~bits:4 in
@@ -345,6 +371,8 @@ let tests =
       Alcotest.test_case "bfs with sifting" `Quick test_bfs_with_sifting;
       Alcotest.test_case "node limit aborts" `Quick test_node_limit_aborts;
       Alcotest.test_case "time limit zero" `Quick test_time_limit_zero;
+      Alcotest.test_case "time limit counts wall-clock seconds" `Quick
+        test_time_limit_is_wall_clock;
       Alcotest.test_case "hd with compound method" `Quick test_hd_c1_method;
       Alcotest.test_case "max_iter incomplete" `Quick test_max_iter_incomplete;
     ] )

@@ -152,10 +152,10 @@ let prop_level_file_bit_flip =
 
 let ops =
   [
-    (Store.Stream.And, Bdd.band, "and");
-    (Store.Stream.Or, Bdd.bor, "or");
-    (Store.Stream.Diff, Bdd.bdiff, "diff");
-    (Store.Stream.Xor, Bdd.bxor, "xor");
+    (Store.Stream.And, (fun man -> Bdd.band man), "and");
+    (Store.Stream.Or, (fun man -> Bdd.bor man), "or");
+    (Store.Stream.Diff, (fun man -> Bdd.bdiff man), "diff");
+    (Store.Stream.Xor, (fun man -> Bdd.bxor man), "xor");
   ]
 
 let prop_stream_apply_matches_kernel =
