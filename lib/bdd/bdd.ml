@@ -1,8 +1,9 @@
-type t = { uid : int; node : node }
-
-and node =
-  | Leaf of bool
-  | N of { var : int; hi : t; lo : t }
+(* One block per node (DESIGN.md §Kernel): an internal node holds its
+   variable and both children; a leaf ([ff], [tt], and the [nil]
+   sentinels) has [var = -1] and children that point back at itself, so
+   a field read is memory-safe on any node.  Compare nodes with [==]
+   ({!equal}): polymorphic equality would walk a leaf's self-loop. *)
+type t = { uid : int; var : int; hi : t; lo : t }
 
 type view =
   | False
@@ -96,30 +97,25 @@ let ut_make fill nstripes =
 (* Linear scan of one stripe snapshot: the index holding (var, hi, lo),
    or [lnot i] for the first free slot [i] of its chain.  Tail recursion,
    no allocation; the unsafe reads are in bounds because every index is
-   masked.  Callers pass an array read once from [st_node] — scanning a
-   snapshot is what makes the probe safe against a concurrent grow. *)
+   masked.  Children compare by pointer, which hash-consing makes the
+   same as comparing uids, without loading either child.  Callers pass
+   an array read once from [st_node] — scanning a snapshot is what makes
+   the probe safe against a concurrent grow. *)
 let rec ut_scan arr mask var hi lo i =
   let n = Array.unsafe_get arr i in
   if n.uid < 0 then lnot i
-  else
-    match n.node with
-    | N { var = v; hi = h; lo = l } when v = var && h.uid = hi && l.uid = lo
-      ->
-        i
-    | _ -> ut_scan arr mask var hi lo ((i + 1) land mask)
+  else if n.var = var && n.hi == hi && n.lo == lo then i
+  else ut_scan arr mask var hi lo ((i + 1) land mask)
 
-(* Quiescent placement of a node into a stripe array known to have room
-   and to lack the node: rehashing on grow, gc rebuild, reorder. *)
+(* Quiescent placement of an internal node into a stripe array known to
+   have room and to lack the node: rehashing on grow, gc rebuild. *)
 let place_node shift arr node =
-  match node.node with
-  | N { var; hi; lo } ->
-      let mask = Array.length arr - 1 in
-      let rec go i =
-        if (Array.unsafe_get arr i).uid < 0 then Array.unsafe_set arr i node
-        else go ((i + 1) land mask)
-      in
-      go ((mix3 var hi.uid lo.uid lsr shift) land mask)
-  | Leaf _ -> assert false
+  let mask = Array.length arr - 1 in
+  let rec go i =
+    if (Array.unsafe_get arr i).uid < 0 then Array.unsafe_set arr i node
+    else go ((i + 1) land mask)
+  in
+  go ((mix3 node.var node.hi.uid node.lo.uid lsr shift) land mask)
 
 (* Double one stripe (amortized, at 2/3 load).  Runs under the stripe
    lock in a shared manager; racing probes keep scanning their old
@@ -154,40 +150,59 @@ let ut_iter fn u =
 (* One slot per hash; a colliding insert overwrites (CUDD's computed
    table).  Loses results, never correctness: a lost entry is recomputed.
 
-   A slot is a single mutable pointer to an immutable entry record, which
-   makes the cache race-tolerant by construction: a concurrent reader
-   dereferences either the old entry or the new one, each internally
-   consistent because key and value were published together.  A data race
-   can therefore cost a hit or duplicate a computation, but it can never
-   pair one operation's key with another operation's value — the only
-   failure mode that would be wrong rather than slow.  (The parallel
-   [int array]s this cache used before could: four separate stores tear
-   under concurrent readers.)
-
    Keys are up to three non-negative ints (uids and operation tags);
-   unused key positions hold 0, and every empty slot shares one entry
-   with q1 = -1, which no real key matches.  A probe returns the
-   manager's [nil] sentinel (uid -1, never escapes the module) on a miss
-   so the hit path allocates no option. *)
+   unused key positions hold 0, and an empty slot has q1 = -1, which no
+   real key matches.  A probe returns the manager's [nil] sentinel (uid
+   -1, never escapes the module) on a miss so the hit path allocates no
+   option.  The manager's [shared] flag picks one of two slot layouts:
+
+   - flat, on a private manager: the keys sit in one [int array], three
+     ints per slot, and the results in a [t array]; an insert overwrites
+     the four words in place and allocates nothing.  Only one domain
+     runs on a private manager at a time, so no probe can see a slot
+     half written.
+   - boxed, on a shared manager: a slot is a single mutable pointer to
+     an immutable entry record, which makes the cache race-tolerant by
+     construction.  A concurrent reader dereferences either the old
+     entry or the new one, each internally consistent because key and
+     value were published together; a race can cost a hit or duplicate
+     a computation, but it can never pair one operation's key with
+     another operation's value — the only failure mode that would be
+     wrong rather than slow.  Four separate stores into the flat layout
+     could tear under concurrent readers. *)
 
 type centry = { q1 : int; q2 : int; q3 : int; cv : t }
 
 type cache = {
   c_name : string; (* for Cache_resize events *)
-  c_empty : centry; (* the shared empty-slot entry *)
-  mutable c_slots : centry array; (* length is a power of two *)
+  c_flat : bool; (* the layout: flat on a private manager *)
+  c_empty : centry; (* the boxed empty entry; its [cv], the manager's nil,
+                       is also every empty flat slot's result *)
+  mutable c_keys : int array; (* flat: q1, q2, q3 per slot *)
+  mutable c_vals : t array; (* flat: the results *)
+  mutable c_slots : centry array; (* boxed: the entries *)
   mutable c_filled : int; (* occupied slots; approximate under races *)
   mutable c_inserts : int; (* stores since creation/resize: drives growth *)
 }
 
-let cache_init_cap = 4096
+(* Both layouts start at 32 KB: 1,024 flat slots of four words, or 4,096
+   pointers to boxed entries. *)
+let flat_init_cap = 1024
+let boxed_init_cap = 4096
 
-let cache_make name fill cap =
+(* Slots: a power of two; the unused layout's arrays are empty. *)
+let cache_slots c =
+  if c.c_flat then Array.length c.c_vals else Array.length c.c_slots
+
+let cache_make ~flat name fill =
   let empty = { q1 = -1; q2 = 0; q3 = 0; cv = fill } in
   {
     c_name = name;
+    c_flat = flat;
     c_empty = empty;
-    c_slots = Array.make cap empty;
+    c_keys = (if flat then Array.make (3 * flat_init_cap) (-1) else [||]);
+    c_vals = (if flat then Array.make flat_init_cap fill else [||]);
+    c_slots = (if flat then [||] else Array.make boxed_init_cap empty);
     c_filled = 0;
     c_inserts = 0;
   }
@@ -195,55 +210,91 @@ let cache_make name fill cap =
 (* Dropping the contents on resize is fine for a lossy cache; the bounded
    number of doublings makes the recomputation cost a one-time warmup.
    Installing a fresh array (rather than refilling in place) is also what
-   makes resize and clear safe next to racing probes: each keeps reading
-   whichever snapshot of the slot array it already holds. *)
+   makes a boxed resize and clear safe next to racing probes: each keeps
+   reading whichever snapshot of the slot array it already holds. *)
 let cache_resize c cap =
-  c.c_slots <- Array.make cap c.c_empty;
+  if c.c_flat then begin
+    c.c_keys <- Array.make (3 * cap) (-1);
+    c.c_vals <- Array.make cap c.c_empty.cv
+  end
+  else c.c_slots <- Array.make cap c.c_empty;
   c.c_filled <- 0;
   c.c_inserts <- 0
 
-(* fresh array, so a cleared cache retains no dead nodes *)
-let cache_clear c = cache_resize c (Array.length c.c_slots)
+(* A cleared cache retains no dead node: a flat one is refilled in place,
+   results included (no probe races it on a private manager), a boxed one
+   gets a fresh array. *)
+let cache_clear c =
+  if c.c_flat then begin
+    Array.fill c.c_keys 0 (Array.length c.c_keys) (-1);
+    Array.fill c.c_vals 0 (Array.length c.c_vals) c.c_empty.cv;
+    c.c_filled <- 0;
+    c.c_inserts <- 0
+  end
+  else cache_resize c (Array.length c.c_slots)
 
 (* --- float cache: uid -> float, for weight ------------------------- *)
 
-(* Same single-pointer-slot shape with a float payload; the sentinel key
-   is -1 and a miss returns nan (no stored weight is nan: weights live in
-   [0, 1]). *)
+(* The same two layouts with one key and a float payload: flat keys in an
+   [int array] beside an unboxed [float array], or boxed [{fq; fv}]
+   entries (a mixed record, so each boxed insert also boxes its float).
+   The empty key is -1 and a miss returns nan (no stored weight is nan:
+   weights live in [0, 1]). *)
 type fentry = { fq : int; fv : float }
 
 type fcache = {
+  f_flat : bool;
   f_empty : fentry;
-  mutable f_slots : fentry array;
+  mutable f_keys : int array; (* flat: uid per slot *)
+  mutable f_vals : float array; (* flat: the weights *)
+  mutable f_slots : fentry array; (* boxed: the entries *)
   mutable f_filled : int;
   mutable f_inserts : int;
 }
 
-let fcache_make cap =
+let fcache_slots c =
+  if c.f_flat then Array.length c.f_keys else Array.length c.f_slots
+
+let fcache_make ~flat =
   let empty = { fq = -1; fv = 0. } in
   {
+    f_flat = flat;
     f_empty = empty;
-    f_slots = Array.make cap empty;
+    f_keys = (if flat then Array.make flat_init_cap (-1) else [||]);
+    f_vals = (if flat then Array.make flat_init_cap 0. else [||]);
+    f_slots = (if flat then [||] else Array.make boxed_init_cap empty);
     f_filled = 0;
     f_inserts = 0;
   }
 
 let fcache_resize c cap =
-  c.f_slots <- Array.make cap c.f_empty;
+  if c.f_flat then begin
+    c.f_keys <- Array.make cap (-1);
+    c.f_vals <- Array.make cap 0.
+  end
+  else c.f_slots <- Array.make cap c.f_empty;
   c.f_filled <- 0;
   c.f_inserts <- 0
 
-let fcache_clear c = fcache_resize c (Array.length c.f_slots)
+let fcache_clear c =
+  if c.f_flat then begin
+    Array.fill c.f_keys 0 (Array.length c.f_keys) (-1);
+    c.f_filled <- 0;
+    c.f_inserts <- 0
+  end
+  else fcache_resize c (Array.length c.f_slots)
 
 (* --- striped hot counters ------------------------------------------ *)
 
-(* Cache hit/miss/overwrite tallies are bumped on every probe, so neither
-   a plain mutable field (updates lost under races) nor an [Atomic.t] (a
-   contended read-modify-write on the hottest path) will do.  Instead:
-   one slot per domain, padded to its own cache line (stride 8 words),
-   summed on read.  Counts are exact as long as concurrently running
-   domains occupy distinct slots — true up to 64 domains, far beyond the
-   pool sizes here — and each domain's view stays monotone. *)
+(* Cache hit/miss/overwrite tallies are bumped on every probe, so on a
+   shared manager neither a plain mutable field (updates lost under
+   races) nor an [Atomic.t] (a contended read-modify-write on the hottest
+   path) will do.  Instead: one slot per domain, padded to its own cache
+   line (stride 8 words), summed on read.  Counts are exact as long as
+   concurrently running domains occupy distinct slots — true up to 64
+   domains, far beyond the pool sizes here — and each domain's view stays
+   monotone.  A private manager runs on one domain at a time and counts
+   in slot 0, which spares the probe the [Domain.self] C call. *)
 
 let sc_stripes = 64
 let sc_stride = 8
@@ -252,8 +303,11 @@ type scounter = int array
 
 let sc_make () : scounter = Array.make (sc_stripes * sc_stride) 0
 
-let[@inline] sc_incr (sc : scounter) =
-  let i = ((Domain.self () :> int) land (sc_stripes - 1)) * sc_stride in
+(* The calling domain's slot, for a shared manager. *)
+let[@inline] sc_slot () =
+  ((Domain.self () :> int) land (sc_stripes - 1)) * sc_stride
+
+let[@inline] sc_add (sc : scounter) i =
   Array.unsafe_set sc i (Array.unsafe_get sc i + 1)
 
 let sc_read (sc : scounter) =
@@ -296,7 +350,8 @@ type scratch = {
   mutable nodes : t array;
 }
 
-let scratch_nil = { uid = -1; node = Leaf false }
+let rec scratch_nil =
+  { uid = -1; var = -1; hi = scratch_nil; lo = scratch_nil }
 let scratch_init_bits = 6
 let scratch_keep_slots = 1 lsl 17
 let scratch_pool_max = 8
@@ -370,13 +425,10 @@ let scratch_mark s f =
   s.count > c
 
 let rec scratch_mark_all s f =
-  match f.node with
-  | Leaf _ -> ()
-  | N { hi; lo; _ } ->
-      if scratch_mark s f then begin
-        scratch_mark_all s hi;
-        scratch_mark_all s lo
-      end
+  if f.var >= 0 && scratch_mark s f then begin
+    scratch_mark_all s f.hi;
+    scratch_mark_all s f.lo
+  end
 
 let scratch_extend a k fill =
   let b = Array.make (max 64 (2 * (k + 1))) fill in
@@ -413,7 +465,7 @@ let rec scratch_give pool s =
   then scratch_give pool s
 
 let scratch_release pool s =
-  Array.fill s.nodes 0 (min s.count (Array.length s.nodes)) scratch_nil;
+  Array.fill s.nodes 0 (Int.min s.count (Array.length s.nodes)) scratch_nil;
   if s.mask < scratch_keep_slots then scratch_give pool s
 
 (* Lease an empty table for the length of [fn], returning it on every
@@ -523,10 +575,18 @@ let pow2_le n = pow2_le (max n 1024) 1024
    kernel allocates a torrent of small long-lived nodes, so a bigger
    per-domain minor heap (16 MB instead of the 2 MB default) keeps the
    build phase of an operation out of the promotion treadmill, and a
-   higher space_overhead trades heap slack for fewer major slices.  Set
-   BDD_GC_TUNE=0 to opt out, or call Gc.set after the first Bdd.create to
-   override; existing user settings are never lowered. *)
+   higher space_overhead trades heap slack for fewer major slices.  The
+   computed tables are multi-MB arrays, which the runtime gets from
+   malloc, so the tuning also pins glibc's mmap threshold at 128 KiB:
+   left dynamic, glibc raises it past the tables' size at their first
+   free and keeps every later freed table in its heap instead of
+   returning it to the OS.  Set BDD_GC_TUNE=0 to opt out, or call Gc.set
+   after the first Bdd.create to override; existing user settings are
+   never lowered. *)
 let gc_tuned = Atomic.make false
+
+external pin_mmap_threshold : unit -> unit = "bdd_pin_mmap_threshold"
+[@@noalloc]
 
 let tune_gc () =
   if not (Atomic.exchange gc_tuned true) then
@@ -539,13 +599,15 @@ let tune_gc () =
             g with
             Gc.minor_heap_size = max g.Gc.minor_heap_size (1 lsl 21);
             space_overhead = max g.Gc.space_overhead 200;
-          }
+          };
+        pin_mmap_threshold ()
 
 let create ?(nvars = 0) ?(shared = false) () =
   tune_gc ();
-  let ff = { uid = 0; node = Leaf false } in
-  let tt = { uid = 1; node = Leaf true } in
-  let nil = { uid = -1; node = Leaf false } in
+  let rec ff = { uid = 0; var = -1; hi = ff; lo = ff } in
+  let rec tt = { uid = 1; var = -1; hi = tt; lo = tt } in
+  let rec nil = { uid = -1; var = -1; hi = nil; lo = nil } in
+  let flat = not shared in
   let man =
     {
       ff;
@@ -562,15 +624,15 @@ let create ?(nvars = 0) ?(shared = false) () =
       var_level = Array.init (max nvars 16) (fun i -> i);
       level_var = Array.init (max nvars 16) (fun i -> i);
       n_vars = nvars;
-      ite_cache = cache_make "ite" nil cache_init_cap;
-      op_cache = cache_make "op" nil cache_init_cap;
-      not_cache = cache_make "not" nil cache_init_cap;
-      exist_cache = cache_make "exist" nil cache_init_cap;
-      andex_cache = cache_make "andex" nil cache_init_cap;
-      constrain_cache = cache_make "constrain" nil cache_init_cap;
-      restrict_cache = cache_make "restrict" nil cache_init_cap;
-      leq_cache = cache_make "leq" nil cache_init_cap;
-      weight_cache = fcache_make cache_init_cap;
+      ite_cache = cache_make ~flat "ite" nil;
+      op_cache = cache_make ~flat "op" nil;
+      not_cache = cache_make ~flat "not" nil;
+      exist_cache = cache_make ~flat "exist" nil;
+      andex_cache = cache_make ~flat "andex" nil;
+      constrain_cache = cache_make ~flat "constrain" nil;
+      restrict_cache = cache_make ~flat "restrict" nil;
+      leq_cache = cache_make ~flat "leq" nil;
+      weight_cache = fcache_make ~flat;
       nodes_made = Atomic.make 0;
       peak_unique = Atomic.make 0;
       sc_hits = sc_make ();
@@ -607,29 +669,19 @@ let id f = f.uid
 let equal f g = f == g
 
 let view f =
-  match f.node with
-  | Leaf false -> False
-  | Leaf true -> True
-  | N { var; hi; lo } -> Node { var; hi; lo }
+  if f.var >= 0 then Node { var = f.var; hi = f.hi; lo = f.lo }
+  else if f.uid = 1 then True
+  else False
 
-let is_const f = match f.node with Leaf _ -> true | N _ -> false
+let is_const f = f.var < 0
 let is_true f = f.uid = 1
 let is_false f = f.uid = 0
 
 let topvar f =
-  match f.node with
-  | N { var; _ } -> var
-  | Leaf _ -> invalid_arg "Bdd.topvar: constant"
+  if f.var < 0 then invalid_arg "Bdd.topvar: constant" else f.var
 
-let high f =
-  match f.node with
-  | N { hi; _ } -> hi
-  | Leaf _ -> invalid_arg "Bdd.high: constant"
-
-let low f =
-  match f.node with
-  | N { lo; _ } -> lo
-  | Leaf _ -> invalid_arg "Bdd.low: constant"
+let high f = if f.var < 0 then invalid_arg "Bdd.high: constant" else f.hi
+let low f = if f.var < 0 then invalid_arg "Bdd.low: constant" else f.lo
 
 let level_of_var man v =
   if v < 0 || v >= man.n_vars then invalid_arg "Bdd.level_of_var";
@@ -641,9 +693,11 @@ let var_at_level man l =
 
 let order man = Array.sub man.level_var 0 man.n_vars
 
-(* Level of the root node; constants sink below every variable. *)
-let level man f =
-  match f.node with Leaf _ -> max_int | N { var; _ } -> man.var_level.(var)
+(* Level of the root node; constants sink below every variable.  The
+   read is in bounds: a node's variable was declared before the node was
+   made, and [var_level] never shrinks. *)
+let[@inline] level man f =
+  if f.var < 0 then max_int else Array.unsafe_get man.var_level f.var
 
 let grow_vars_quiet man n =
   let cap = Array.length man.var_level in
@@ -750,7 +804,7 @@ let mk_shared man st h var hi lo =
   Atomic.incr man.ut_locks;
   let arr = st.st_node in
   let mask = Array.length arr - 1 in
-  let s = ut_scan arr mask var hi.uid lo.uid ((h lsr u.u_shift) land mask) in
+  let s = ut_scan arr mask var hi lo ((h lsr u.u_shift) land mask) in
   if s >= 0 then begin
     (* another domain published it between our probe and the lock *)
     let n = Array.unsafe_get arr s in
@@ -771,9 +825,7 @@ let mk_shared man st h var hi lo =
       Mutex.unlock st.st_lock;
       table_full_hit man
     end;
-    let n =
-      { uid = Atomic.fetch_and_add man.next_uid 1; node = N { var; hi; lo } }
-    in
+    let n = { uid = Atomic.fetch_and_add man.next_uid 1; var; hi; lo } in
     Array.unsafe_set arr (lnot s) n;
     st.st_count <- st.st_count + 1;
     Atomic.incr u.u_total;
@@ -797,14 +849,13 @@ let mk_raw man var hi lo =
   if hi == lo then hi
   else
     let u = man.unique in
-    let hid = hi.uid and lod = lo.uid in
-    let h = mix3 var hid lod in
+    let h = mix3 var hi.uid lo.uid in
     let st =
       Array.unsafe_get u.u_stripes (h land (Array.length u.u_stripes - 1))
     in
     let arr = st.st_node in
     let mask = Array.length arr - 1 in
-    let s = ut_scan arr mask var hid lod ((h lsr u.u_shift) land mask) in
+    let s = ut_scan arr mask var hi lo ((h lsr u.u_shift) land mask) in
     if s >= 0 then Array.unsafe_get arr s
     else if man.shared then mk_shared man st h var hi lo
     else begin
@@ -817,9 +868,7 @@ let mk_raw man var hi lo =
         3 * (st.st_count + 1) > 2 * (mask + 1)
         && 2 * (mask + 1) > man.stripe_cap
       then table_full_hit man;
-      let n =
-        { uid = Atomic.fetch_and_add man.next_uid 1; node = N { var; hi; lo } }
-      in
+      let n = { uid = Atomic.fetch_and_add man.next_uid 1; var; hi; lo } in
       Array.unsafe_set arr (lnot s) n;
       st.st_count <- st.st_count + 1;
       Atomic.incr u.u_total;
@@ -850,122 +899,184 @@ let nithvar man i =
 
 let new_var man = ithvar man man.n_vars
 
-(* Cofactors of [f] with respect to the variable at level [lv]. *)
-let cofactors man f lv =
-  match f.node with
-  | Leaf _ -> (f, f)
-  | N { var; hi; lo } -> if man.var_level.(var) = lv then (hi, lo) else (f, f)
+(* The cofactors of [f] with respect to the variable at level [lv]: its
+   children when [f] sits at [lv], else [f] itself.  Two selectors rather
+   than one function returning a pair, so a recursion step builds no
+   tuple. *)
+let[@inline] hi_at man f lv = if level man f = lv then f.hi else f
+let[@inline] lo_at man f lv = if level man f = lv then f.lo else f
 
-(* Computed-cache probe with hit/miss accounting for {!stats}: one masked
-   read, one dereference, three int compares, no allocation.  Returns
-   [man.nil] on a miss; callers test [r.uid >= 0] (every real node has a
-   non-negative uid). *)
-let[@inline] cache_find man c a b k =
+(* A cache doubles when its inserts since the last resize reach twice its
+   slots — a cheap churn signal — but never past [cache_cap], so each
+   cache's memory is hard-bounded (CUDD sizes its computed table the same
+   way).  In a shared manager the resize is serialized by [cache_lock]
+   and [due] is re-checked under it, so two domains cannot install
+   competing arrays.  Rare path: the caller has already seen [due ()]. *)
+let grow_cache man name due resize slots =
+  let resized =
+    if man.shared then begin
+      Mutex.lock man.cache_lock;
+      let ok = due () in
+      if ok then resize ();
+      Mutex.unlock man.cache_lock;
+      ok
+    end
+    else begin
+      resize ();
+      true
+    end
+  in
+  if resized then begin
+    (match man.observer with
+    | None -> ()
+    | Some obs -> obs (Cache_resize { cache = name; capacity = slots () }));
+    fault_point man
+  end
+
+let[@inline] cache_due man c =
+  let cap = cache_slots c in
+  c.c_inserts >= 2 * cap && 2 * cap <= man.cache_cap
+
+let[@inline] fcache_due man c =
+  let cap = fcache_slots c in
+  c.f_inserts >= 2 * cap && 2 * cap <= man.cache_cap
+
+let boxed_find man c a b k =
   let arr = c.c_slots in
   let e = Array.unsafe_get arr (mix3 a b k land (Array.length arr - 1)) in
   if e.q1 = a && e.q2 = b && e.q3 = k then begin
-    sc_incr man.sc_hits;
+    sc_add man.sc_hits (sc_slot ());
     e.cv
   end
   else begin
-    sc_incr man.sc_misses;
+    sc_add man.sc_misses (sc_slot ());
     man.nil
   end
 
-(* Lossy insertion: overwrite whatever occupies the slot with one freshly
-   built immutable entry — a single racy pointer store, wrong-answer-free
-   by the argument at the type above.  The capacity doubles when inserts
-   outrun it — a cheap churn signal — but never past [cache_limit], so
-   each cache's memory is hard-bounded (CUDD sizes its computed table the
-   same way).  In a shared manager the resize is serialized by
-   [cache_lock] and re-checked under it, so two domains cannot install
-   competing arrays. *)
-let cache_add man c a b k v =
-  let cap = Array.length c.c_slots in
-  if c.c_inserts >= 2 * cap && 2 * cap <= man.cache_cap then begin
-    let resized =
-      if man.shared then begin
-        Mutex.lock man.cache_lock;
-        let cap = Array.length c.c_slots in
-        let ok = c.c_inserts >= 2 * cap && 2 * cap <= man.cache_cap in
-        if ok then cache_resize c (2 * cap);
-        Mutex.unlock man.cache_lock;
-        ok
-      end
-      else begin
-        cache_resize c (2 * cap);
-        true
-      end
-    in
-    if resized then begin
-      (match man.observer with
-      | None -> ()
-      | Some obs ->
-          obs
-            (Cache_resize
-               { cache = c.c_name; capacity = Array.length c.c_slots }));
-      fault_point man
+(* Computed-cache probe with hit/miss accounting for {!stats}: one masked
+   slot, three int compares, no allocation and, on a private manager, no
+   C call.  Returns [man.nil] on a miss; callers test [r.uid >= 0] (every
+   real node has a non-negative uid). *)
+let[@inline] cache_find man c a b k =
+  if c.c_flat then begin
+    let keys = c.c_keys and vals = c.c_vals in
+    let i = mix3 a b k land (Array.length vals - 1) in
+    if
+      Array.unsafe_get keys (3 * i) = a
+      && Array.unsafe_get keys ((3 * i) + 1) = b
+      && Array.unsafe_get keys ((3 * i) + 2) = k
+    then begin
+      sc_add man.sc_hits 0;
+      Array.unsafe_get vals i
     end
-  end;
+    else begin
+      sc_add man.sc_misses 0;
+      man.nil
+    end
+  end
+  else boxed_find man c a b k
+
+(* Boxed insertion: replace the slot's entry with one freshly built
+   immutable entry — a single racy pointer store, wrong-answer-free by
+   the argument at the type. *)
+let boxed_add man c a b k v =
   let arr = c.c_slots in
   let i = mix3 a b k land (Array.length arr - 1) in
   let old = Array.unsafe_get arr i in
+  let slot = sc_slot () in
   if old.q1 < 0 then c.c_filled <- c.c_filled + 1
   else begin
-    sc_incr man.sc_overwrites;
+    sc_add man.sc_overwrites slot;
     (* same key re-stored: two domains computed the same subproblem *)
-    if old.q1 = a && old.q2 = b && old.q3 = k then sc_incr man.sc_races
+    if old.q1 = a && old.q2 = b && old.q3 = k then sc_add man.sc_races slot
   end;
   Array.unsafe_set arr i { q1 = a; q2 = b; q3 = k; cv = v };
   c.c_inserts <- c.c_inserts + 1;
-  sc_incr man.sc_inserts
+  sc_add man.sc_inserts slot
+
+(* Lossy insertion: overwrite whatever occupies the slot.  A flat slot is
+   overwritten in place, four words and no allocation. *)
+let cache_add man c a b k v =
+  if cache_due man c then
+    grow_cache man c.c_name
+      (fun () -> cache_due man c)
+      (fun () -> cache_resize c (2 * cache_slots c))
+      (fun () -> cache_slots c);
+  if c.c_flat then begin
+    let keys = c.c_keys and vals = c.c_vals in
+    let i = mix3 a b k land (Array.length vals - 1) in
+    let j = 3 * i in
+    let q1 = Array.unsafe_get keys j in
+    if q1 < 0 then c.c_filled <- c.c_filled + 1
+    else begin
+      sc_add man.sc_overwrites 0;
+      if
+        q1 = a
+        && Array.unsafe_get keys (j + 1) = b
+        && Array.unsafe_get keys (j + 2) = k
+      then sc_add man.sc_races 0
+    end;
+    Array.unsafe_set keys j a;
+    Array.unsafe_set keys (j + 1) b;
+    Array.unsafe_set keys (j + 2) k;
+    Array.unsafe_set vals i v;
+    c.c_inserts <- c.c_inserts + 1;
+    sc_add man.sc_inserts 0
+  end
+  else boxed_add man c a b k v
 
 let[@inline] fcache_find man c k =
-  let arr = c.f_slots in
-  let e = Array.unsafe_get arr (mix3 k 0 0 land (Array.length arr - 1)) in
-  if e.fq = k then begin
-    sc_incr man.sc_hits;
-    e.fv
+  if c.f_flat then begin
+    let keys = c.f_keys in
+    let i = mix3 k 0 0 land (Array.length keys - 1) in
+    if Array.unsafe_get keys i = k then begin
+      sc_add man.sc_hits 0;
+      Array.unsafe_get c.f_vals i
+    end
+    else begin
+      sc_add man.sc_misses 0;
+      Float.nan
+    end
   end
   else begin
-    sc_incr man.sc_misses;
-    Float.nan
+    let arr = c.f_slots in
+    let e = Array.unsafe_get arr (mix3 k 0 0 land (Array.length arr - 1)) in
+    if e.fq = k then begin
+      sc_add man.sc_hits (sc_slot ());
+      e.fv
+    end
+    else begin
+      sc_add man.sc_misses (sc_slot ());
+      Float.nan
+    end
   end
 
 let fcache_add man c k v =
-  let cap = Array.length c.f_slots in
-  if c.f_inserts >= 2 * cap && 2 * cap <= man.cache_cap then begin
-    let resized =
-      if man.shared then begin
-        Mutex.lock man.cache_lock;
-        let cap = Array.length c.f_slots in
-        let ok = c.f_inserts >= 2 * cap && 2 * cap <= man.cache_cap in
-        if ok then fcache_resize c (2 * cap);
-        Mutex.unlock man.cache_lock;
-        ok
-      end
-      else begin
-        fcache_resize c (2 * cap);
-        true
-      end
-    in
-    if resized then begin
-      (match man.observer with
-      | None -> ()
-      | Some obs ->
-          obs
-            (Cache_resize
-               { cache = "weight"; capacity = Array.length c.f_slots }));
-      fault_point man
-    end
-  end;
-  let arr = c.f_slots in
-  let i = mix3 k 0 0 land (Array.length arr - 1) in
-  if (Array.unsafe_get arr i).fq < 0 then c.f_filled <- c.f_filled + 1
-  else sc_incr man.sc_overwrites;
-  Array.unsafe_set arr i { fq = k; fv = v };
-  c.f_inserts <- c.f_inserts + 1;
-  sc_incr man.sc_inserts
+  if fcache_due man c then
+    grow_cache man "weight"
+      (fun () -> fcache_due man c)
+      (fun () -> fcache_resize c (2 * fcache_slots c))
+      (fun () -> fcache_slots c);
+  if c.f_flat then begin
+    let keys = c.f_keys in
+    let i = mix3 k 0 0 land (Array.length keys - 1) in
+    if Array.unsafe_get keys i < 0 then c.f_filled <- c.f_filled + 1
+    else sc_add man.sc_overwrites 0;
+    Array.unsafe_set keys i k;
+    Array.unsafe_set c.f_vals i v;
+    c.f_inserts <- c.f_inserts + 1;
+    sc_add man.sc_inserts 0
+  end
+  else begin
+    let arr = c.f_slots in
+    let i = mix3 k 0 0 land (Array.length arr - 1) in
+    let slot = sc_slot () in
+    if (Array.unsafe_get arr i).fq < 0 then c.f_filled <- c.f_filled + 1
+    else sc_add man.sc_overwrites slot;
+    Array.unsafe_set arr i { fq = k; fv = v };
+    c.f_inserts <- c.f_inserts + 1;
+    sc_add man.sc_inserts slot
+  end
 
 (* ------------------------------------------------------------------ *)
 (* ITE and the binary connectives                                     *)
@@ -1020,24 +1131,33 @@ let rec ite_rec man pool budget f g h =
     let r = cache_find man man.ite_cache f.uid g.uid h.uid in
     if r.uid >= 0 then r
     else begin
-      let lv = min (level man f) (min (level man g) (level man h)) in
+      let lv =
+        Int.min (level man f) (Int.min (level man g) (level man h))
+      in
       let v = man.level_var.(lv) in
-      let f1, f0 = cofactors man f lv
-      and g1, g0 = cofactors man g lv
-      and h1, h0 = cofactors man h lv in
       let r =
         match pool with
         | Some p when budget > 0 ->
             let budget = budget - 1 in
             let r1, r0 =
               fork_join p
-                (fun () -> ite_rec man pool budget f1 g1 h1)
-                (fun () -> ite_rec man pool budget f0 g0 h0)
+                (fun () ->
+                  ite_rec man pool budget (hi_at man f lv) (hi_at man g lv)
+                    (hi_at man h lv))
+                (fun () ->
+                  ite_rec man pool budget (lo_at man f lv) (lo_at man g lv)
+                    (lo_at man h lv))
             in
             mk_raw man v r1 r0
         | _ ->
-            let r1 = ite_rec man pool budget f1 g1 h1
-            and r0 = ite_rec man pool budget f0 g0 h0 in
+            let r1 =
+              ite_rec man pool budget (hi_at man f lv) (hi_at man g lv)
+                (hi_at man h lv)
+            in
+            let r0 =
+              ite_rec man pool budget (lo_at man f lv) (lo_at man g lv)
+                (lo_at man h lv)
+            in
             mk_raw man v r1 r0
       in
       cache_add man man.ite_cache f.uid g.uid h.uid r;
@@ -1054,75 +1174,83 @@ let rec bnot man f =
     let r = cache_find man man.not_cache f.uid 0 0 in
     if r.uid >= 0 then r
     else begin
-      let r = mk_raw man (topvar f) (bnot man (high f)) (bnot man (low f)) in
+      let r = mk_raw man f.var (bnot man f.hi) (bnot man f.lo) in
       (* negation is an involution: cache both directions *)
       cache_add man man.not_cache f.uid 0 0 r;
       cache_add man man.not_cache r.uid 0 0 f;
       r
     end
 
-(* Binary apply with terminal-case functions, sharing one tagged cache. *)
-let rec apply man pool budget tag term f g =
-  match term man f g with
-  | Some r -> r
-  | None ->
-      (* commutative: normalize the argument order for better cache reuse *)
-      let f, g = if f.uid <= g.uid then (f, g) else (g, f) in
-      let r = cache_find man man.op_cache tag f.uid g.uid in
-      if r.uid >= 0 then r
-      else begin
-        let lv = min (level man f) (level man g) in
-        let v = man.level_var.(lv) in
-        let f1, f0 = cofactors man f lv and g1, g0 = cofactors man g lv in
-        let r =
-          match pool with
-          | Some p when budget > 0 ->
-              let budget = budget - 1 in
-              let r1, r0 =
-                fork_join p
-                  (fun () -> apply man pool budget tag term f1 g1)
-                  (fun () -> apply man pool budget tag term f0 g0)
-              in
-              mk_raw man v r1 r0
-          | _ ->
-              let r1 = apply man pool budget tag term f1 g1
-              and r0 = apply man pool budget tag term f0 g0 in
-              mk_raw man v r1 r0
-        in
-        cache_add man man.op_cache tag f.uid g.uid r;
-        r
-      end
+(* Terminal cases of the binary connectives, dispatched on the tag: the
+   result, or [man.nil] when the pair needs a recursion step. *)
+let[@inline] apply_term man tag f g =
+  if tag = tag_and then
+    if is_false f || is_false g then man.ff
+    else if is_true f then g
+    else if is_true g then f
+    else if f == g then f
+    else man.nil
+  else if tag = tag_or then
+    if is_true f || is_true g then man.tt
+    else if is_false f then g
+    else if is_false g then f
+    else if f == g then f
+    else man.nil
+  else if f == g then man.ff
+  else if is_false f then g
+  else if is_false g then f
+  else if is_true f then bnot man g
+  else if is_true g then bnot man f
+  else man.nil
 
-let and_term man f g =
-  if is_false f || is_false g then Some man.ff
-  else if is_true f then Some g
-  else if is_true g then Some f
-  else if f == g then Some f
-  else None
+(* Binary apply, sharing one tagged cache.  The connectives are
+   commutative: [apply_step] gets the pair with the smaller uid first,
+   for better cache reuse. *)
+let rec apply man pool budget tag f g =
+  let r = apply_term man tag f g in
+  if r.uid >= 0 then r
+  else if f.uid <= g.uid then apply_step man pool budget tag f g
+  else apply_step man pool budget tag g f
 
-let or_term man f g =
-  if is_true f || is_true g then Some man.tt
-  else if is_false f then Some g
-  else if is_false g then Some f
-  else if f == g then Some f
-  else None
-
-let xor_term man f g =
-  if f == g then Some man.ff
-  else if is_false f then Some g
-  else if is_false g then Some f
-  else if is_true f then Some (bnot man g)
-  else if is_true g then Some (bnot man f)
-  else None
+and apply_step man pool budget tag f g =
+  let r = cache_find man man.op_cache tag f.uid g.uid in
+  if r.uid >= 0 then r
+  else begin
+    let lv = Int.min (level man f) (level man g) in
+    let v = man.level_var.(lv) in
+    let r =
+      match pool with
+      | Some p when budget > 0 ->
+          let budget = budget - 1 in
+          let r1, r0 =
+            fork_join p
+              (fun () ->
+                apply man pool budget tag (hi_at man f lv) (hi_at man g lv))
+              (fun () ->
+                apply man pool budget tag (lo_at man f lv) (lo_at man g lv))
+          in
+          mk_raw man v r1 r0
+      | _ ->
+          let r1 =
+            apply man pool budget tag (hi_at man f lv) (hi_at man g lv)
+          in
+          let r0 =
+            apply man pool budget tag (lo_at man f lv) (lo_at man g lv)
+          in
+          mk_raw man v r1 r0
+    in
+    cache_add man man.op_cache tag f.uid g.uid r;
+    r
+  end
 
 let band ?pool man f g =
-  apply man pool (fork_budget "Bdd.band" man pool) tag_and and_term f g
+  apply man pool (fork_budget "Bdd.band" man pool) tag_and f g
 
 let bor ?pool man f g =
-  apply man pool (fork_budget "Bdd.bor" man pool) tag_or or_term f g
+  apply man pool (fork_budget "Bdd.bor" man pool) tag_or f g
 
 let bxor ?pool man f g =
-  apply man pool (fork_budget "Bdd.bxor" man pool) tag_xor xor_term f g
+  apply man pool (fork_budget "Bdd.bxor" man pool) tag_xor f g
 
 let bnand man f g = bnot man (band man f g)
 let bnor man f g = bnot man (bor man f g)
@@ -1146,9 +1274,9 @@ let intersects man f g =
       if Hashtbl.mem seen key then false
       else begin
         Hashtbl.add seen key ();
-        let lv = min (level man f) (level man g) in
-        let f1, f0 = cofactors man f lv and g1, g0 = cofactors man g lv in
-        go f1 g1 || go f0 g0
+        let lv = Int.min (level man f) (level man g) in
+        go (hi_at man f lv) (hi_at man g lv)
+        || go (lo_at man f lv) (lo_at man g lv)
       end
   in
   go f g
@@ -1161,9 +1289,11 @@ let rec leq man f g =
     let r = cache_find man man.leq_cache f.uid g.uid 0 in
     if r.uid >= 0 then is_true r
     else begin
-      let lv = min (level man f) (level man g) in
-      let f1, f0 = cofactors man f lv and g1, g0 = cofactors man g lv in
-      let r = leq man f1 g1 && leq man f0 g0 in
+      let lv = Int.min (level man f) (level man g) in
+      let r =
+        leq man (hi_at man f lv) (hi_at man g lv)
+        && leq man (lo_at man f lv) (lo_at man g lv)
+      in
       cache_add man man.leq_cache f.uid g.uid 0 (if r then man.tt else man.ff);
       r
     end
@@ -1178,12 +1308,12 @@ let cofactor man f ~var b =
   with_scratch (fun memo ->
       let rec go f =
         if level man f > lv then f
-        else if level man f = lv then if b then high f else low f
+        else if level man f = lv then if b then f.hi else f.lo
         else
           let k = scratch_find memo f in
           if k >= 0 then scratch_node memo k
           else begin
-            let r = mk_raw man (topvar f) (go (high f)) (go (low f)) in
+            let r = mk_raw man f.var (go f.hi) (go f.lo) in
             scratch_set_node memo (scratch_add memo f) r;
             r
           end
@@ -1193,20 +1323,19 @@ let cofactor man f ~var b =
 let vector_compose man f subst =
   with_scratch (fun memo ->
       let rec go f =
-        match f.node with
-        | Leaf _ -> f
-        | N { var; hi; lo } ->
-            let k = scratch_find memo f in
-            if k >= 0 then scratch_node memo k
-            else begin
-              let hi' = go hi and lo' = go lo in
-              let gv =
-                match subst var with Some g -> g | None -> ithvar man var
-              in
-              let r = ite man gv hi' lo' in
-              scratch_set_node memo (scratch_add memo f) r;
-              r
-            end
+        if f.var < 0 then f
+        else
+          let k = scratch_find memo f in
+          if k >= 0 then scratch_node memo k
+          else begin
+            let hi' = go f.hi and lo' = go f.lo in
+            let gv =
+              match subst f.var with Some g -> g | None -> ithvar man f.var
+            in
+            let r = ite man gv hi' lo' in
+            scratch_set_node memo (scratch_add memo f) r;
+            r
+          end
       in
       go f)
 
@@ -1246,19 +1375,16 @@ let rec exists man ~vars f =
   else if is_false vars then invalid_arg "Bdd.exists: not a cube"
   else
     let lf = level man f and lc = level man vars in
-    if lc < lf then exists man ~vars:(high vars) f
+    if lc < lf then exists man ~vars:vars.hi f
     else
       let r = cache_find man man.exist_cache f.uid vars.uid 0 in
       if r.uid >= 0 then r
       else begin
         let r =
           if lc = lf then
-            let vars = high vars in
-            bor man (exists man ~vars (high f)) (exists man ~vars (low f))
-          else
-            mk_raw man (topvar f)
-              (exists man ~vars (high f))
-              (exists man ~vars (low f))
+            let vars = vars.hi in
+            bor man (exists man ~vars f.hi) (exists man ~vars f.lo)
+          else mk_raw man f.var (exists man ~vars f.hi) (exists man ~vars f.lo)
         in
         cache_add man man.exist_cache f.uid vars.uid 0 r;
         r
@@ -1266,46 +1392,57 @@ let rec exists man ~vars f =
 
 let forall man ~vars f = bnot man (exists man ~vars (bnot man f))
 
+(* [and_exists_step] gets the pair with the smaller uid first. *)
 let rec and_exists_rec man pool budget vars f g =
   if is_false f || is_false g then man.ff
   else if is_true vars then band man f g
   else if is_true f then exists man ~vars g
   else if is_true g then exists man ~vars f
   else if f == g then exists man ~vars f
-  else
-    let f, g = if f.uid <= g.uid then (f, g) else (g, f) in
-    let r = cache_find man man.andex_cache f.uid g.uid vars.uid in
-    if r.uid >= 0 then r
-    else begin
-      let lf = level man f and lg = level man g and lc = level man vars in
-      let lv = min lf lg in
-      let r =
-        if lc < lv then and_exists_rec man pool budget (high vars) f g
-        else
-          let v = man.level_var.(lv) in
-          let f1, f0 = cofactors man f lv
-          and g1, g0 = cofactors man g lv in
-          (* at a quantified level the branches are joined by [bor] *)
-          let sub = if lc = lv then high vars else vars in
-          match pool with
-          | Some p when budget > 0 ->
-              let budget = budget - 1 in
-              let r1, r0 =
-                fork_join p
-                  (fun () -> and_exists_rec man pool budget sub f1 g1)
-                  (fun () -> and_exists_rec man pool budget sub f0 g0)
-              in
-              if lc = lv then bor man r1 r0 else mk_raw man v r1 r0
-          | _ ->
-              (* lo first, unlike apply and ite: the order in which nodes
-                 get their uids, and so the kernel counters, rest on it *)
-              let r0 = and_exists_rec man pool budget sub f0 g0 in
-              let r1 = and_exists_rec man pool budget sub f1 g1 in
-              if lc = lv then bor man r1 r0 else mk_raw man v r1 r0
-      in
-      cache_add man man.andex_cache f.uid g.uid vars.uid r;
-      r
-    end
+  else if f.uid <= g.uid then and_exists_step man pool budget vars f g
+  else and_exists_step man pool budget vars g f
+
+and and_exists_step man pool budget vars f g =
+  let r = cache_find man man.andex_cache f.uid g.uid vars.uid in
+  if r.uid >= 0 then r
+  else begin
+    let lf = level man f and lg = level man g and lc = level man vars in
+    let lv = Int.min lf lg in
+    let r =
+      if lc < lv then and_exists_rec man pool budget vars.hi f g
+      else
+        let v = man.level_var.(lv) in
+        (* at a quantified level the branches are joined by [bor] *)
+        let sub = if lc = lv then vars.hi else vars in
+        match pool with
+        | Some p when budget > 0 ->
+            let budget = budget - 1 in
+            let r1, r0 =
+              fork_join p
+                (fun () ->
+                  and_exists_rec man pool budget sub (hi_at man f lv)
+                    (hi_at man g lv))
+                (fun () ->
+                  and_exists_rec man pool budget sub (lo_at man f lv)
+                    (lo_at man g lv))
+            in
+            if lc = lv then bor man r1 r0 else mk_raw man v r1 r0
+        | _ ->
+            (* lo first, unlike apply and ite: the order in which nodes
+               get their uids, and so the kernel counters, rest on it *)
+            let r0 =
+              and_exists_rec man pool budget sub (lo_at man f lv)
+                (lo_at man g lv)
+            in
+            let r1 =
+              and_exists_rec man pool budget sub (hi_at man f lv)
+                (hi_at man g lv)
+            in
+            if lc = lv then bor man r1 r0 else mk_raw man v r1 r0
+    in
+    cache_add man man.andex_cache f.uid g.uid vars.uid r;
+    r
+  end
 
 let and_exists ?pool man ~vars f g =
   and_exists_rec man pool (fork_budget "Bdd.and_exists" man pool) vars f g
@@ -1321,13 +1458,16 @@ let rec constrain_rec man f c =
     let r = cache_find man man.constrain_cache f.uid c.uid 0 in
     if r.uid >= 0 then r
     else begin
-      let lv = min (level man f) (level man c) in
+      let lv = Int.min (level man f) (level man c) in
       let v = man.level_var.(lv) in
-      let f1, f0 = cofactors man f lv and c1, c0 = cofactors man c lv in
+      let c1 = hi_at man c lv and c0 = lo_at man c lv in
       let r =
-        if is_false c0 then constrain_rec man f1 c1
-        else if is_false c1 then constrain_rec man f0 c0
-        else mk_raw man v (constrain_rec man f1 c1) (constrain_rec man f0 c0)
+        if is_false c0 then constrain_rec man (hi_at man f lv) c1
+        else if is_false c1 then constrain_rec man (lo_at man f lv) c0
+        else
+          mk_raw man v
+            (constrain_rec man (hi_at man f lv) c1)
+            (constrain_rec man (lo_at man f lv) c0)
       in
       cache_add man man.constrain_cache f.uid c.uid 0 r;
       r
@@ -1349,16 +1489,15 @@ let rec restrict_rec man f c =
         if lc < lf then
           (* the care set constrains a variable f does not mention:
              quantify it out of c *)
-          restrict_rec man f (bor man (high c) (low c))
+          restrict_rec man f (bor man c.hi c.lo)
         else
-          let v = topvar f in
-          let c1, c0 = if lc = lf then (high c, low c) else (c, c) in
-          if is_false c0 then restrict_rec man (high f) c1
-          else if is_false c1 then restrict_rec man (low f) c0
+          let c1 = hi_at man c lf and c0 = lo_at man c lf in
+          if is_false c0 then restrict_rec man f.hi c1
+          else if is_false c1 then restrict_rec man f.lo c0
           else
-            mk_raw man v
-              (restrict_rec man (high f) c1)
-              (restrict_rec man (low f) c0)
+            mk_raw man f.var
+              (restrict_rec man f.hi c1)
+              (restrict_rec man f.lo c0)
       in
       cache_add man man.restrict_cache f.uid c.uid 0 r;
       r
@@ -1375,14 +1514,11 @@ let restrict man f c =
 let iter_nodes fn f =
   with_scratch (fun seen ->
       let rec go f =
-        match f.node with
-        | Leaf _ -> ()
-        | N { hi; lo; _ } ->
-            if scratch_mark seen f then begin
-              go hi;
-              go lo;
-              fn f
-            end
+        if f.var >= 0 && scratch_mark seen f then begin
+          go f.hi;
+          go f.lo;
+          fn f
+        end
       in
       go f)
 
@@ -1406,7 +1542,7 @@ let rec weight man f =
   else
     let w = fcache_find man man.weight_cache f.uid in
     if Float.is_nan w then begin
-      let w = 0.5 *. (weight man (high f) +. weight man (low f)) in
+      let w = 0.5 *. (weight man f.hi +. weight man f.lo) in
       fcache_add man man.weight_cache f.uid w;
       w
     end
@@ -1420,22 +1556,21 @@ let density man f ~nvars =
 let count_paths _man f =
   with_scratch (fun memo ->
       let rec go f =
-        match f.node with
-        | Leaf _ -> 1.
-        | N { hi; lo; _ } ->
-            let k = scratch_find memo f in
-            if k >= 0 then scratch_float memo k
-            else begin
-              let p = go hi +. go lo in
-              scratch_set_float memo (scratch_add memo f) p;
-              p
-            end
+        if f.var < 0 then 1.
+        else
+          let k = scratch_find memo f in
+          if k >= 0 then scratch_float memo k
+          else begin
+            let p = go f.hi +. go f.lo in
+            scratch_set_float memo (scratch_add memo f) p;
+            p
+          end
       in
       go f)
 
 let support man f =
   let seen = Array.make man.n_vars false in
-  iter_nodes (fun n -> seen.(topvar n) <- true) f;
+  iter_nodes (fun n -> seen.(n.var) <- true) f;
   (* listed by level *)
   let vars = ref [] in
   for l = man.n_vars - 1 downto 0 do
@@ -1447,20 +1582,16 @@ let support_cube man f = cube man (support man f)
 
 let eval _man f asg =
   let rec go f =
-    match f.node with
-    | Leaf b -> b
-    | N { var; hi; lo } -> if asg var then go hi else go lo
+    if f.var < 0 then is_true f else if asg f.var then go f.hi else go f.lo
   in
   go f
 
 let any_sat _man f =
   let rec go acc f =
-    match f.node with
-    | Leaf true -> List.rev acc
-    | Leaf false -> raise Not_found
-    | N { var; hi; lo } ->
-        if is_false hi then go ((var, false) :: acc) lo
-        else go ((var, true) :: acc) hi
+    if is_true f then List.rev acc
+    else if is_false f then raise Not_found
+    else if is_false f.hi then go ((f.var, false) :: acc) f.lo
+    else go ((f.var, true) :: acc) f.hi
   in
   go [] f
 
@@ -1469,14 +1600,15 @@ let iter_sat _man ?(limit = max_int) f fn =
   let exception Done in
   let rec go acc f =
     if !remaining <= 0 then raise Done;
-    match f.node with
-    | Leaf false -> ()
-    | Leaf true ->
-        decr remaining;
-        fn (List.rev acc)
-    | N { var; hi; lo } ->
-        go ((var, true) :: acc) hi;
-        go ((var, false) :: acc) lo
+    if is_false f then ()
+    else if is_true f then begin
+      decr remaining;
+      fn (List.rev acc)
+    end
+    else begin
+      go ((f.var, true) :: acc) f.hi;
+      go ((f.var, false) :: acc) f.lo
+    end
   in
   try go [] f with Done -> ()
 
@@ -1529,11 +1661,7 @@ let gc man ~roots =
       ut_iter
         (fun node ->
           if scratch_find live node >= 0 then begin
-            let s =
-              match node.node with
-              | N { var; hi; lo } -> mix3 var hi.uid lo.uid land (nstripes - 1)
-              | Leaf _ -> assert false
-            in
+            let s = mix3 node.var node.hi.uid node.lo.uid land (nstripes - 1) in
             survivors.(s) <- node :: survivors.(s);
             counts.(s) <- counts.(s) + 1;
             incr total
@@ -1571,10 +1699,9 @@ let set_cache_limit man n =
   (* shrink any cache already above the new ceiling *)
   List.iter
     (fun c ->
-      if Array.length c.c_slots > man.cache_cap then
-        cache_resize c man.cache_cap)
+      if cache_slots c > man.cache_cap then cache_resize c man.cache_cap)
     (caches man);
-  if Array.length man.weight_cache.f_slots > man.cache_cap then
+  if fcache_slots man.weight_cache > man.cache_cap then
     fcache_resize man.weight_cache man.cache_cap
 
 let node_limit man = man.node_limit
@@ -1611,17 +1738,13 @@ let stats man =
   in
   (* filled counts are maintained racily in a shared manager; clamp so
      reported entries can never exceed the capacity they sit in *)
-  let filled c = min c.c_filled (Array.length c.c_slots) in
-  let wfilled =
-    min man.weight_cache.f_filled (Array.length man.weight_cache.f_slots)
-  in
+  let filled c = Int.min c.c_filled (cache_slots c) in
+  let wslots = fcache_slots man.weight_cache in
+  let wfilled = Int.min man.weight_cache.f_filled wslots in
   let cache_entries =
     List.fold_left (fun acc c -> acc + filled c) wfilled (caches man)
   and cache_capacity =
-    List.fold_left
-      (fun acc c -> acc + Array.length c.c_slots)
-      (Array.length man.weight_cache.f_slots)
-      (caches man)
+    List.fold_left (fun acc c -> acc + cache_slots c) wslots (caches man)
   in
   [
     ("nodes_made", Atomic.get man.nodes_made);
@@ -1673,17 +1796,16 @@ let reorder man ~order:level_var ~roots =
   done;
   with_scratch (fun memo ->
       let rec rebuild f =
-        match f.node with
-        | Leaf _ -> f
-        | N { var; hi; lo } ->
-            let k = scratch_find memo f in
-            if k >= 0 then scratch_node memo k
-            else begin
-              let hi' = rebuild hi and lo' = rebuild lo in
-              let r = ite man (ithvar man var) hi' lo' in
-              scratch_set_node memo (scratch_add memo f) r;
-              r
-            end
+        if f.var < 0 then f
+        else
+          let k = scratch_find memo f in
+          if k >= 0 then scratch_node memo k
+          else begin
+            let hi' = rebuild f.hi and lo' = rebuild f.lo in
+            let r = ite man (ithvar man f.var) hi' lo' in
+            scratch_set_node memo (scratch_add memo f) r;
+            r
+          end
       in
       List.map rebuild roots)
 
@@ -1713,15 +1835,12 @@ let export_list man roots =
       in
       let rev_nodes = ref [] in
       let rec go f =
-        match f.node with
-        | Leaf _ -> ()
-        | N { var; hi; lo } ->
-            if scratch_find index f < 0 then begin
-              go hi;
-              go lo;
-              rev_nodes := (var, idx hi, idx lo) :: !rev_nodes;
-              ignore (scratch_add index f)
-            end
+        if f.var >= 0 && scratch_find index f < 0 then begin
+          go f.hi;
+          go f.lo;
+          rev_nodes := (f.var, idx f.hi, idx f.lo) :: !rev_nodes;
+          ignore (scratch_add index f)
+        end
       in
       List.iter go roots;
       {

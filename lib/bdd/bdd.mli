@@ -37,19 +37,28 @@ val create : ?nvars:int -> ?shared:bool -> unit -> man
     [~shared:true] arms the manager for concurrent use from several
     domains (DESIGN.md §Parallel kernel): the unique table is striped
     with per-stripe insert locks, probes stay lock-free, and the lossy
-    operation caches tolerate races (they may lose entries, never return
-    a wrong one).  Hash-consing canonicity — physical equality iff
-    functional equality — holds across domains.  The default private
-    manager skips all locking and must stay confined to one domain at a
-    time.  {!gc}, {!reorder}, {!clear_caches} and {!set_cache_limit}
-    require quiescence even on a shared manager: no concurrent operation
-    may be running during the call.
+    operation caches publish each entry as one immutable record, so
+    they tolerate races (they may lose entries, never return a wrong
+    one).  Hash-consing canonicity — physical equality iff functional
+    equality — holds across domains.  The default private manager skips
+    all locking, keeps its caches in flat arrays that it overwrites in
+    place (a cache miss allocates nothing but the nodes it creates), and
+    must stay confined to one domain at a time.  Either way each cache
+    starts at 32 KB (1,024 flat slots or 4,096 boxed ones) and grows up
+    to {!set_cache_limit}.  {!gc}, {!reorder}, {!clear_caches} and
+    {!set_cache_limit} require quiescence even on a shared manager: no
+    concurrent operation may be running during the call.
+
+    Compare BDDs with {!equal}, not polymorphic equality: a leaf's
+    children point back at the leaf, so [=] on two physically equal
+    nodes overflows the comparison stack and raises [Out_of_memory].
 
     The first [create] of the process also tunes the OCaml GC for BDD
-    workloads (larger minor heap, higher [space_overhead]; see DESIGN.md
-    §Kernel).  Existing settings are never lowered; set the environment
-    variable [BDD_GC_TUNE=0] to disable, or call [Gc.set] afterwards to
-    override. *)
+    workloads (larger minor heap, higher [space_overhead]) and, under
+    glibc, pins the mmap threshold so that freed cache arrays go back to
+    the OS (DESIGN.md §Kernel).  Existing GC settings are never lowered;
+    set the environment variable [BDD_GC_TUNE=0] to disable all of it,
+    or call [Gc.set] afterwards to override. *)
 
 val is_shared : man -> bool
 (** Whether the manager was created with [~shared:true]. *)

@@ -53,7 +53,7 @@ let counter v =
   let order, first = Dense.by_level v in
   let width = ref 1 in
   for l = 0 to Array.length first - 2 do
-    width := max !width (first.(l + 1) - first.(l))
+    width := Int.max !width (first.(l + 1) - first.(l))
   done;
   let bits = ref 1 in
   while 1 lsl !bits < 2 * !width do
@@ -167,7 +167,7 @@ let best_split_var man f =
           let s1 = count c l true !best_max in
           if s1 <= !best_max then begin
             let s0 = count c l false !best_max in
-            let m = max s1 s0 and s = s1 + s0 in
+            let m = Int.max s1 s0 and s = s1 + s0 in
             if m < !best_max || (m = !best_max && s < !best_sum) then begin
               best := l;
               best_max := m;

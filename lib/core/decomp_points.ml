@@ -115,7 +115,7 @@ let band_flags ?(band = (0.35, 0.65)) (v : Dense.t) =
   (* longest distance to a constant; children come first *)
   let height = Array.make v.count 0 in
   for i = 2 to v.count - 1 do
-    height.(i) <- 1 + max height.(v.hi.(i)) height.(v.lo.(i))
+    height.(i) <- 1 + Int.max height.(v.hi.(i)) height.(v.lo.(i))
   done;
   let top = float_of_int height.(v.root) in
   let lo = lo_frac *. top and hi = hi_frac *. top in
@@ -164,10 +164,12 @@ let disjoint_flags ?(sample = 256) ?(max_sharing = 0.25) ?(min_balance = 0.4)
           let sh = Bdd.size v.node.(hi) and sl = Bdd.size v.node.(lo) in
           let shared = Bdd.shared_size [ v.node.(hi); v.node.(lo) ] in
           let overlap =
-            float_of_int (sh + sl - shared) /. float_of_int (max 1 (min sh sl))
+            float_of_int (sh + sl - shared)
+            /. float_of_int (Int.max 1 (Int.min sh sl))
           in
           let bal =
-            float_of_int (min sh sl) /. float_of_int (max 1 (max sh sl))
+            float_of_int (Int.min sh sl)
+            /. float_of_int (Int.max 1 (Int.max sh sl))
           in
           if overlap <= max_sharing && bal >= min_balance then
             points.(n) <- true

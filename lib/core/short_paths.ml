@@ -30,13 +30,13 @@ let approximate man ~threshold f =
           let dist_one = Array.make n infinity_len in
           dist_one.(1) <- 0;
           for i = 2 to n - 1 do
-            dist_one.(i) <- 1 + min dist_one.(v.hi.(i)) dist_one.(v.lo.(i))
+            dist_one.(i) <- 1 + Int.min dist_one.(v.hi.(i)) dist_one.(v.lo.(i))
           done;
           let splen i = dist_root.(i) + dist_one.(i) in
           (* the [threshold]-th shortest label, or the shortest *)
           let sorted = Array.init (n - 2) (fun k -> splen (k + 2)) in
           Array.sort compare sorted;
-          let bound = sorted.(max 0 (min threshold (n - 2) - 1)) in
+          let bound = sorted.(Int.max 0 (Int.min threshold (n - 2) - 1)) in
           Dense.rebuild v ~redirect:(fun i ->
               if splen i <= bound then -1 else 0)
         end)

@@ -3,11 +3,14 @@
 
    Correctness is re-proven against the truth-table oracle with the
    smallest legal [cache_limit] (the 1024-slot floor), so direct-mapped
-   collisions and overwrites actually happen during the properties, and
-   the bookkeeping invariants are checked explicitly: caches stay within
-   their bound under a long random workload, [Node_limit] fires at the
-   exact count, and the [Bdd.stats] counters are monotone and agree
-   across [--jobs] values. *)
+   collisions and overwrites actually happen during the properties, in
+   both slot layouts: flat tables on a private manager, boxed entries on
+   a [~shared:true] one.  The bookkeeping invariants are checked
+   explicitly: caches stay within their bound under a long random
+   workload, a miss allocates nothing on a private manager, [Bdd.gc]
+   releases what the tables held, [Node_limit] fires at the exact count,
+   and the [Bdd.stats] counters are monotone and agree across [--jobs]
+   values. *)
 
 let nvars = 6
 let arb = Tgen.arbitrary_expr ~nvars ~depth:6
@@ -16,14 +19,19 @@ let qtest ?(count = 300) name prop_arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name prop_arb prop)
 
 (* A manager whose computed caches are clamped to the 1024-slot floor:
-   everything built through it runs under heavy overwrite pressure. *)
-let tiny_man () =
-  let man = Bdd.create ~nvars () in
+   everything built through it runs under heavy overwrite pressure.
+   [~shared] picks the slot layout; no pool is passed, so a shared
+   manager runs the sequential kernel on its boxed entries. *)
+let tiny_man ~shared =
+  let man = Bdd.create ~nvars ~shared () in
   Bdd.set_cache_limit man 1;
   man
 
-let setup_tiny e =
-  let man = tiny_man () in
+(* The private layout keeps the properties' original names. *)
+let layout_name ~shared name = if shared then "shared: " ^ name else name
+
+let setup_tiny ~shared e =
+  let man = tiny_man ~shared in
   let f = Tgen.build_bdd man e in
   let o = Tgen.build_oracle nvars e in
   (man, f, o)
@@ -35,75 +43,88 @@ let stat st key = Option.value ~default:0 (List.assoc_opt key st)
 (* Oracle equivalence under lossy caches                               *)
 (* ------------------------------------------------------------------ *)
 
-let prop_connectives_tiny =
-  qtest "connectives match oracle under 1k lossy caches" arb (fun e ->
-      let man, f, o = setup_tiny e in
+let prop_connectives_tiny ~shared =
+  qtest
+    (layout_name ~shared "connectives match oracle under 1k lossy caches")
+    arb
+    (fun e ->
+      let man, f, o = setup_tiny ~shared e in
       check_same man f o)
 
-let prop_not_tiny =
-  qtest "double negation under 1k lossy caches" arb (fun e ->
-      let man, f, o = setup_tiny e in
+let prop_not_tiny ~shared =
+  qtest (layout_name ~shared "double negation under 1k lossy caches") arb
+    (fun e ->
+      let man, f, o = setup_tiny ~shared e in
       Bdd.equal f (Bdd.bnot man (Bdd.bnot man f))
       && check_same man (Bdd.bnot man f) (Oracle.not_ o))
 
-let prop_exists_tiny =
-  qtest "exists matches oracle under 1k lossy caches"
+let prop_exists_tiny ~shared =
+  qtest (layout_name ~shared "exists matches oracle under 1k lossy caches")
     QCheck.(pair arb (make (Tgen.var_subset_gen nvars)))
     (fun (e, vs) ->
-      let man, f, o = setup_tiny e in
+      let man, f, o = setup_tiny ~shared e in
       let r = Bdd.exists man ~vars:(Bdd.cube man vs) f in
       check_same man r (Oracle.exists o vs))
 
-let prop_forall_tiny =
-  qtest "forall matches oracle under 1k lossy caches"
+let prop_forall_tiny ~shared =
+  qtest (layout_name ~shared "forall matches oracle under 1k lossy caches")
     QCheck.(pair arb (make (Tgen.var_subset_gen nvars)))
     (fun (e, vs) ->
-      let man, f, o = setup_tiny e in
+      let man, f, o = setup_tiny ~shared e in
       let r = Bdd.forall man ~vars:(Bdd.cube man vs) f in
       check_same man r (Oracle.forall o vs))
 
-let prop_and_exists_tiny =
-  qtest "and_exists = exists of conjunction under 1k lossy caches"
+let prop_and_exists_tiny ~shared =
+  qtest
+    (layout_name ~shared
+       "and_exists = exists of conjunction under 1k lossy caches")
     QCheck.(triple arb arb (make (Tgen.var_subset_gen nvars)))
     (fun (e1, e2, vs) ->
-      let man = tiny_man () in
+      let man = tiny_man ~shared in
       let f = Tgen.build_bdd man e1 and g = Tgen.build_bdd man e2 in
       let cube = Bdd.cube man vs in
       Bdd.equal
         (Bdd.and_exists man ~vars:cube f g)
         (Bdd.exists man ~vars:cube (Bdd.band man f g)))
 
-let prop_constrain_tiny =
-  qtest "f ∧ c = c ∧ constrain(f,c) under 1k lossy caches"
+let prop_constrain_tiny ~shared =
+  qtest
+    (layout_name ~shared "f ∧ c = c ∧ constrain(f,c) under 1k lossy caches")
     QCheck.(pair arb arb)
     (fun (e1, e2) ->
-      let man = tiny_man () in
+      let man = tiny_man ~shared in
       let f = Tgen.build_bdd man e1 and c = Tgen.build_bdd man e2 in
       QCheck.assume (not (Bdd.is_false c));
       Bdd.equal (Bdd.band man f c) (Bdd.band man c (Bdd.constrain man f c)))
 
-let prop_restrict_tiny =
-  qtest "restrict agrees on the care set under 1k lossy caches"
+let prop_restrict_tiny ~shared =
+  qtest
+    (layout_name ~shared
+       "restrict agrees on the care set under 1k lossy caches")
     QCheck.(pair arb arb)
     (fun (e1, e2) ->
-      let man = tiny_man () in
+      let man = tiny_man ~shared in
       let f = Tgen.build_bdd man e1 and c = Tgen.build_bdd man e2 in
       QCheck.assume (not (Bdd.is_false c));
       let r = Bdd.restrict man f c in
       Bdd.equal (Bdd.band man r c) (Bdd.band man f c))
 
-let prop_leq_tiny =
-  qtest "leq matches oracle under 1k lossy caches"
+let prop_leq_tiny ~shared =
+  qtest (layout_name ~shared "leq matches oracle under 1k lossy caches")
     QCheck.(pair arb arb)
     (fun (e1, e2) ->
-      let man = tiny_man () in
+      let man = tiny_man ~shared in
       let f = Tgen.build_bdd man e1 and g = Tgen.build_bdd man e2 in
       Bdd.leq man f g
       = Oracle.leq (Tgen.build_oracle nvars e1) (Tgen.build_oracle nvars e2))
 
-let prop_weight_tiny =
-  qtest "weight matches oracle density under 1k lossy caches" arb (fun e ->
-      let man, f, o = setup_tiny e in
+let prop_weight_tiny ~shared =
+  qtest
+    (layout_name ~shared
+       "weight matches oracle density under 1k lossy caches")
+    arb
+    (fun e ->
+      let man, f, o = setup_tiny ~shared e in
       let expect = float_of_int (Oracle.count o) /. float_of_int (1 lsl nvars) in
       Float.abs (Bdd.weight man f -. expect) < 1e-9)
 
@@ -116,9 +137,9 @@ let prop_weight_tiny =
    expressions (plus negations, quantifications and weights, so every
    computed cache sees traffic) and check the caches never exceed the
    configured ceiling. *)
-let test_cache_bound () =
+let test_cache_bound ~shared () =
   let wide = 10 in
-  let man = Bdd.create ~nvars:wide () in
+  let man = Bdd.create ~nvars:wide ~shared () in
   Bdd.set_cache_limit man 1024;
   let rand = Random.State.make [| 0x5eed |] in
   let gen = Tgen.expr_gen ~nvars:wide ~depth:7 in
@@ -149,6 +170,75 @@ let test_cache_bound () =
   Alcotest.(check bool)
     "capacity re-clamped" true
     (stat st "cache_capacity" <= 9 * 1024)
+
+(* ------------------------------------------------------------------ *)
+(* The miss path allocates nothing                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* On a private manager a cache miss allocates nothing but the nodes it
+   creates.  Every node the four operations need exists after their first
+   run; once the caches are cleared, the second run misses all over again
+   and finds each node in the unique table, so the minor heap must not
+   move.  (bench/micro.exe's hit_band and hit_mk probes cover the hit
+   path.) *)
+let test_miss_path_allocates_nothing () =
+  let man = Bdd.create () in
+  let c = Compile.compile ~man (Generate.multiplier ~bits:7) in
+  let out i = snd (List.nth c.Compile.output_fns i) in
+  let f = out 5 and g = out 6 and h = out 7 in
+  let vars = Bdd.cube man [ 1; 4; 7; 10 ] in
+  let ops () =
+    ignore (Bdd.band man f g);
+    ignore (Bdd.bxor man f g);
+    ignore (Bdd.ite man f g h);
+    ignore (Bdd.and_exists man ~vars f g)
+  in
+  ops ();
+  Bdd.clear_caches man;
+  let made = stat (Bdd.stats man) "nodes_made"
+  and misses = stat (Bdd.stats man) "cache_misses" in
+  let before = Gc.minor_words () in
+  ops ();
+  let words = Gc.minor_words () -. before in
+  let st = Bdd.stats man in
+  let misses = stat st "cache_misses" - misses in
+  Alcotest.(check int) "the second run made no node" made
+    (stat st "nodes_made");
+  Alcotest.(check bool)
+    (Printf.sprintf "the second run missed (%d misses)" misses)
+    true (misses >= 1000);
+  Alcotest.(check (float 0.))
+    (Printf.sprintf "minor words over %d misses" misses)
+    0. words
+
+(* ------------------------------------------------------------------ *)
+(* Bdd.gc releases what the tables held                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [band f g], held only through a weak pointer and the op table *)
+let[@inline never] weak_band man f g =
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (Bdd.band man f g));
+  w
+
+(* A flat table keeps its results in an array of their own, which
+   outlives every key: a clear that reset only the keys would pin dead
+   nodes.  A gc that keeps only f and g must let their conjunction go
+   while the manager, and so its tables, stays live. *)
+let test_gc_releases ~shared () =
+  let man = Bdd.create ~nvars:4 ~shared () in
+  let f = Bdd.bor man (Bdd.ithvar man 0) (Bdd.ithvar man 2)
+  and g = Bdd.bor man (Bdd.ithvar man 1) (Bdd.ithvar man 3) in
+  ignore (Bdd.gc man ~roots:[ f; g ]);
+  let live = Bdd.unique_size man in
+  let w = weak_band man f g in
+  Alcotest.(check bool) "the conjunction made nodes" true
+    (Bdd.unique_size man > live);
+  ignore (Bdd.gc man ~roots:[ f; g ]);
+  Gc.full_major ();
+  Alcotest.(check bool) "collected once only the tables reached it" true
+    (Option.is_none (Weak.get w 0));
+  Alcotest.(check int) "the gc kept f and g" live (Bdd.unique_size man)
 
 (* ------------------------------------------------------------------ *)
 (* Node_limit fires at the exact count                                 *)
@@ -458,7 +548,15 @@ let tests =
   ( "kernel",
     [
       Alcotest.test_case "cache bound under random workload" `Slow
-        test_cache_bound;
+        (test_cache_bound ~shared:false);
+      Alcotest.test_case "shared: cache bound under random workload" `Slow
+        (test_cache_bound ~shared:true);
+      Alcotest.test_case "miss path allocates nothing" `Quick
+        test_miss_path_allocates_nothing;
+      Alcotest.test_case "gc releases what the tables held" `Quick
+        (test_gc_releases ~shared:false);
+      Alcotest.test_case "shared: gc releases what the tables held" `Quick
+        (test_gc_releases ~shared:true);
       Alcotest.test_case "Table_full ceiling (private table)" `Quick
         (test_table_full ~shared:false);
       Alcotest.test_case "Table_full ceiling (striped table)" `Quick
@@ -468,22 +566,30 @@ let tests =
       Alcotest.test_case "stats counters monotone" `Quick test_stats_monotone;
       Alcotest.test_case "stats identical across jobs" `Quick
         test_stats_across_jobs;
-      prop_connectives_tiny;
-      prop_not_tiny;
-      prop_exists_tiny;
-      prop_forall_tiny;
-      prop_and_exists_tiny;
-      prop_constrain_tiny;
-      prop_restrict_tiny;
-      prop_leq_tiny;
-      prop_weight_tiny;
-      Alcotest.test_case "lease: nested traversals" `Quick test_lease_nested;
-      Alcotest.test_case "lease: Node_limit returns it" `Quick
-        test_lease_node_limit;
-      Alcotest.test_case "lease: domains on a shared manager" `Quick
-        test_lease_domains;
-      Alcotest.test_case "lease: returned table pins no node" `Quick
-        test_lease_pins_nothing;
-      Alcotest.test_case "lease: split search makes no node" `Quick
-        test_split_search_makes_no_node;
-    ] )
+    ]
+    @ List.concat_map
+        (fun shared ->
+          [
+            prop_connectives_tiny ~shared;
+            prop_not_tiny ~shared;
+            prop_exists_tiny ~shared;
+            prop_forall_tiny ~shared;
+            prop_and_exists_tiny ~shared;
+            prop_constrain_tiny ~shared;
+            prop_restrict_tiny ~shared;
+            prop_leq_tiny ~shared;
+            prop_weight_tiny ~shared;
+          ])
+        [ false; true ]
+    @ [
+        Alcotest.test_case "lease: nested traversals" `Quick
+          test_lease_nested;
+        Alcotest.test_case "lease: Node_limit returns it" `Quick
+          test_lease_node_limit;
+        Alcotest.test_case "lease: domains on a shared manager" `Quick
+          test_lease_domains;
+        Alcotest.test_case "lease: returned table pins no node" `Quick
+          test_lease_pins_nothing;
+        Alcotest.test_case "lease: split search makes no node" `Quick
+          test_split_search_makes_no_node;
+      ] )
