@@ -73,7 +73,6 @@ type stripe = {
 type utable = {
   u_stripes : stripe array; (* length is a power of two *)
   u_shift : int; (* log2 (length u_stripes): hash bits spent on striping *)
-  u_total : int Atomic.t; (* live nodes across all stripes *)
 }
 
 let ut_init_cap = 8192 (* initial capacity, summed across stripes *)
@@ -91,7 +90,6 @@ let ut_make fill nstripes =
     u_stripes =
       Array.init nstripes (fun _ -> stripe_make fill (ut_stripe_cap nstripes));
     u_shift = ilog2 nstripes;
-    u_total = Atomic.make 0;
   }
 
 (* Linear scan of one stripe snapshot: the index holding (var, hi, lo),
@@ -137,185 +135,136 @@ let ut_reset fill u =
     (fun st ->
       st.st_node <- Array.make cap fill;
       st.st_count <- 0)
-    u.u_stripes;
-  Atomic.set u.u_total 0
+    u.u_stripes
 
 let ut_iter fn u =
   Array.iter
     (fun st -> Array.iter (fun n -> if n.uid >= 0 then fn n) st.st_node)
     u.u_stripes
 
-(* --- computed caches: lossy, direct-mapped ------------------------- *)
+(* --- computed tables: lossy, direct-mapped, one writer each ------- *)
 
 (* One slot per hash; a colliding insert overwrites (CUDD's computed
    table).  Loses results, never correctness: a lost entry is recomputed.
 
-   Keys are up to three non-negative ints (uids and operation tags);
-   unused key positions hold 0, and an empty slot has q1 = -1, which no
-   real key matches.  A probe returns the manager's [nil] sentinel (uid
-   -1, never escapes the module) on a miss so the hit path allocates no
-   option.  The manager's [shared] flag picks one of two slot layouts:
+   A node table keeps its keys in one [int array], three ints per slot
+   (uids and operation tags; unused positions hold 0, and an empty slot
+   has q1 = -1, which no real key matches), and its results in a
+   [t array]; the weight table keeps one key per slot beside an unboxed
+   [float array].  An insert overwrites the slot in place and allocates
+   nothing.  A probe returns the manager's [nil] sentinel (uid -1, never
+   escapes the module) on a node-table miss and nan on a weight-table
+   miss (no stored weight is nan: weights lie in [0, 1]), so the hit
+   path allocates no option.
 
-   - flat, on a private manager: the keys sit in one [int array], three
-     ints per slot, and the results in a [t array]; an insert overwrites
-     the four words in place and allocates nothing.  Only one domain
-     runs on a private manager at a time, so no probe can see a slot
-     half written.
-   - boxed, on a shared manager: a slot is a single mutable pointer to
-     an immutable entry record, which makes the cache race-tolerant by
-     construction.  A concurrent reader dereferences either the old
-     entry or the new one, each internally consistent because key and
-     value were published together; a race can cost a hit or duplicate
-     a computation, but it can never pair one operation's key with
-     another operation's value — the only failure mode that would be
-     wrong rather than slow.  Four separate stores into the flat layout
-     could tear under concurrent readers. *)
+   A table is a snapshot: [keys] and [vals] are installed together by one
+   pointer store (growth, a wipe from another domain), so a probe that
+   reads both from one snapshot can never index one array with the
+   other's length.  Every table has exactly one writer domain (see
+   [tables] below). *)
 
-type centry = { q1 : int; q2 : int; q3 : int; cv : t }
-
-type cache = {
-  c_name : string; (* for Cache_resize events *)
-  c_flat : bool; (* the layout: flat on a private manager *)
-  c_empty : centry; (* the boxed empty entry; its [cv], the manager's nil,
-                       is also every empty flat slot's result *)
-  mutable c_keys : int array; (* flat: q1, q2, q3 per slot *)
-  mutable c_vals : t array; (* flat: the results *)
-  mutable c_slots : centry array; (* boxed: the entries *)
-  mutable c_filled : int; (* occupied slots; approximate under races *)
-  mutable c_inserts : int; (* stores since creation/resize: drives growth *)
+type 'v table = {
+  keys : int array; (* stride ints per slot *)
+  vals : 'v array; (* results; empty slots hold the empty value *)
+  mutable filled : int; (* occupied slots *)
+  mutable stores : int; (* inserts since creation: drives growth *)
 }
 
-(* Both layouts start at 32 KB: 1,024 flat slots of four words, or 4,096
-   pointers to boxed entries. *)
-let flat_init_cap = 1024
-let boxed_init_cap = 4096
+(* Every table starts at 1,024 slots: 32 KB for a node table. *)
+let table_init_cap = 1024
 
-(* Slots: a power of two; the unused layout's arrays are empty. *)
-let cache_slots c =
-  if c.c_flat then Array.length c.c_vals else Array.length c.c_slots
-
-let cache_make ~flat name fill =
-  let empty = { q1 = -1; q2 = 0; q3 = 0; cv = fill } in
+let table_make stride cap empty =
   {
-    c_name = name;
-    c_flat = flat;
-    c_empty = empty;
-    c_keys = (if flat then Array.make (3 * flat_init_cap) (-1) else [||]);
-    c_vals = (if flat then Array.make flat_init_cap fill else [||]);
-    c_slots = (if flat then [||] else Array.make boxed_init_cap empty);
-    c_filled = 0;
-    c_inserts = 0;
+    keys = Array.make (stride * cap) (-1);
+    vals = Array.make cap empty;
+    filled = 0;
+    stores = 0;
   }
 
-(* Dropping the contents on resize is fine for a lossy cache; the bounded
-   number of doublings makes the recomputation cost a one-time warmup.
-   Installing a fresh array (rather than refilling in place) is also what
-   makes a boxed resize and clear safe next to racing probes: each keeps
-   reading whichever snapshot of the slot array it already holds. *)
-let cache_resize c cap =
-  if c.c_flat then begin
-    c.c_keys <- Array.make (3 * cap) (-1);
-    c.c_vals <- Array.make cap c.c_empty.cv
-  end
-  else c.c_slots <- Array.make cap c.c_empty;
-  c.c_filled <- 0;
-  c.c_inserts <- 0
+(* Refilling the results too means a cleared table pins no dead node. *)
+let table_clear c empty =
+  Array.fill c.keys 0 (Array.length c.keys) (-1);
+  Array.fill c.vals 0 (Array.length c.vals) empty;
+  c.filled <- 0;
+  c.stores <- 0
 
-(* A cleared cache retains no dead node: a flat one is refilled in place,
-   results included (no probe races it on a private manager), a boxed one
-   gets a fresh array. *)
-let cache_clear c =
-  if c.c_flat then begin
-    Array.fill c.c_keys 0 (Array.length c.c_keys) (-1);
-    Array.fill c.c_vals 0 (Array.length c.c_vals) c.c_empty.cv;
-    c.c_filled <- 0;
-    c.c_inserts <- 0
-  end
-  else cache_resize c (Array.length c.c_slots)
-
-(* --- float cache: uid -> float, for weight ------------------------- *)
-
-(* The same two layouts with one key and a float payload: flat keys in an
-   [int array] beside an unboxed [float array], or boxed [{fq; fv}]
-   entries (a mixed record, so each boxed insert also boxes its float).
-   The empty key is -1 and a miss returns nan (no stored weight is nan:
-   weights live in [0, 1]). *)
-type fentry = { fq : int; fv : float }
-
-type fcache = {
-  f_flat : bool;
-  f_empty : fentry;
-  mutable f_keys : int array; (* flat: uid per slot *)
-  mutable f_vals : float array; (* flat: the weights *)
-  mutable f_slots : fentry array; (* boxed: the entries *)
-  mutable f_filled : int;
-  mutable f_inserts : int;
+(* A table set: the eight node tables, by operation, and the weight
+   table, with the probe counters of all nine. *)
+type tables = {
+  tabs : t table array;
+  mutable weights : float table;
+  mutable hits : int;
+  mutable misses : int;
+  mutable inserts : int;
+  mutable overwrites : int; (* inserts into occupied slots *)
+  mutable races : int; (* overwrites that re-stored the very same key *)
 }
 
-let fcache_slots c =
-  if c.f_flat then Array.length c.f_keys else Array.length c.f_slots
+let tab_ite = 0 (* (f, g, h) *)
+let tab_op = 1 (* (tag, f, g) *)
+let tab_not = 2 (* (f, 0, 0), kept in both directions *)
+let tab_exist = 3 (* (f, cube, 0) *)
+let tab_andex = 4 (* (f, g, cube) *)
+let tab_constrain = 5 (* (f, c, 0) *)
+let tab_restrict = 6 (* (f, c, 0) *)
+let tab_leq = 7 (* (f, g, 0) -> tt/ff *)
 
-let fcache_make ~flat =
-  let empty = { fq = -1; fv = 0. } in
+let tab_names =
+  [| "ite"; "op"; "not"; "exist"; "andex"; "constrain"; "restrict"; "leq" |]
+
+let tables_make tabs =
   {
-    f_flat = flat;
-    f_empty = empty;
-    f_keys = (if flat then Array.make flat_init_cap (-1) else [||]);
-    f_vals = (if flat then Array.make flat_init_cap 0. else [||]);
-    f_slots = (if flat then [||] else Array.make boxed_init_cap empty);
-    f_filled = 0;
-    f_inserts = 0;
+    tabs;
+    weights = table_make 1 table_init_cap 0.;
+    hits = 0;
+    misses = 0;
+    inserts = 0;
+    overwrites = 0;
+    races = 0;
   }
 
-let fcache_resize c cap =
-  if c.f_flat then begin
-    c.f_keys <- Array.make cap (-1);
-    c.f_vals <- Array.make cap 0.
+let node_tables nil =
+  tables_make (Array.map (fun _ -> table_make 3 table_init_cap nil) tab_names)
+
+(* The unused entries of a shared manager's set array. *)
+let vacant = tables_make [||]
+
+(* --- domain slots ------------------------------------------------- *)
+
+(* A shared manager keeps one table set per domain that uses it, indexed
+   by the domain's slot: a small int that no two live domains hold at
+   once.  A domain takes a slot on its first use of a shared manager and
+   returns it when it exits, so slots stay below the largest number of
+   such domains alive at one time, and a set whose domain has exited
+   passes to the next domain that takes its slot.  Domain ids would not
+   do: they only grow, so two live domains can meet modulo any table
+   size and would then write one set.  Systhreads of one domain share
+   its slot; they cannot interleave inside a probe or an insert, which
+   has no poll point between a slot's keys and its result. *)
+let slot_lock = Mutex.create ()
+let slot_free = ref [] (* returned slots, under [slot_lock] *)
+let slot_next = ref 0
+let slot_key = Domain.DLS.new_key (fun () -> -1)
+
+let domain_slot () =
+  let s = Domain.DLS.get slot_key in
+  if s >= 0 then s
+  else begin
+    let s =
+      Mutex.protect slot_lock (fun () ->
+          match !slot_free with
+          | s :: rest ->
+              slot_free := rest;
+              s
+          | [] ->
+              incr slot_next;
+              !slot_next - 1)
+    in
+    Domain.DLS.set slot_key s;
+    Domain.at_exit (fun () ->
+        Mutex.protect slot_lock (fun () -> slot_free := s :: !slot_free));
+    s
   end
-  else c.f_slots <- Array.make cap c.f_empty;
-  c.f_filled <- 0;
-  c.f_inserts <- 0
-
-let fcache_clear c =
-  if c.f_flat then begin
-    Array.fill c.f_keys 0 (Array.length c.f_keys) (-1);
-    c.f_filled <- 0;
-    c.f_inserts <- 0
-  end
-  else fcache_resize c (Array.length c.f_slots)
-
-(* --- striped hot counters ------------------------------------------ *)
-
-(* Cache hit/miss/overwrite tallies are bumped on every probe, so on a
-   shared manager neither a plain mutable field (updates lost under
-   races) nor an [Atomic.t] (a contended read-modify-write on the hottest
-   path) will do.  Instead: one slot per domain, padded to its own cache
-   line (stride 8 words), summed on read.  Counts are exact as long as
-   concurrently running domains occupy distinct slots — true up to 64
-   domains, far beyond the pool sizes here — and each domain's view stays
-   monotone.  A private manager runs on one domain at a time and counts
-   in slot 0, which spares the probe the [Domain.self] C call. *)
-
-let sc_stripes = 64
-let sc_stride = 8
-
-type scounter = int array
-
-let sc_make () : scounter = Array.make (sc_stripes * sc_stride) 0
-
-(* The calling domain's slot, for a shared manager. *)
-let[@inline] sc_slot () =
-  ((Domain.self () :> int) land (sc_stripes - 1)) * sc_stride
-
-let[@inline] sc_add (sc : scounter) i =
-  Array.unsafe_set sc i (Array.unsafe_get sc i + 1)
-
-let sc_read (sc : scounter) =
-  let total = ref 0 in
-  for i = 0 to sc_stripes - 1 do
-    total := !total + Array.unsafe_get sc (i * sc_stride)
-  done;
-  !total
 
 (* --- scratch tables: per-call maps keyed by node uid --------------- *)
 
@@ -497,29 +446,25 @@ type man = {
   mutable node_limit : int option;
   mutable cache_limit : int;
   mutable cache_cap : int; (* largest power of two <= cache_limit *)
-  next_uid : int Atomic.t;
   unique : utable;
   var_lock : Mutex.t; (* serializes grow_vars in shared mode *)
-  cache_lock : Mutex.t; (* serializes cache resizes in shared mode *)
+  cache_lock : Mutex.t; (* serializes table-set registration *)
   mutable var_level : int array; (* variable -> level *)
   mutable level_var : int array; (* level -> variable *)
   mutable n_vars : int;
-  ite_cache : cache; (* (f, g, h) *)
-  op_cache : cache; (* (tag, f, g) *)
-  not_cache : cache; (* (f, 0, 0), kept in both directions *)
-  exist_cache : cache; (* (f, cube, 0) *)
-  andex_cache : cache; (* (f, g, cube) *)
-  constrain_cache : cache; (* (f, c, 0) *)
-  restrict_cache : cache; (* (f, c, 0) *)
-  leq_cache : cache; (* (f, g, 0) -> tt/ff *)
-  weight_cache : fcache;
-  nodes_made : int Atomic.t;
-  peak_unique : int Atomic.t;
-  sc_hits : scounter;
-  sc_misses : scounter;
-  sc_overwrites : scounter; (* computed-cache inserts into occupied slots *)
-  sc_races : scounter; (* overwrites that re-stored the very same key *)
-  sc_inserts : scounter;
+  mutable sets : tables array;
+      (* a private manager's one table set; a shared one's sets by domain
+         slot, [vacant] where no domain has registered *)
+  (* Node counters.  A private manager, which one domain uses at a time,
+     keeps them in plain fields, and its one stripe counts the live
+     nodes; a shared manager keeps them in the atomics. *)
+  mutable next_uid : int;
+  mutable nodes_made : int;
+  mutable peak_unique : int;
+  a_next_uid : int Atomic.t;
+  a_live : int Atomic.t;
+  a_nodes_made : int Atomic.t;
+  a_peak_unique : int Atomic.t;
   ut_grows : int Atomic.t; (* stripe doublings *)
   ut_locks : int Atomic.t; (* stripe-lock acquisitions on the insert path *)
   stripe_waits : int Atomic.t; (* acquisitions that found the lock held *)
@@ -573,13 +518,15 @@ let pow2_le n = pow2_le (max n 1024) 1024
 
 (* One-time OCaml GC tuning for BDD workloads (DESIGN.md §Kernel): the
    kernel allocates a torrent of small long-lived nodes, so a bigger
-   per-domain minor heap (16 MB instead of the 2 MB default) keeps the
-   build phase of an operation out of the promotion treadmill, and a
-   higher space_overhead trades heap slack for fewer major slices.  The
-   computed tables are multi-MB arrays, which the runtime gets from
-   malloc, so the tuning also pins glibc's mmap threshold at 128 KiB:
-   left dynamic, glibc raises it past the tables' size at their first
-   free and keeps every later freed table in its heap instead of
+   minor heap (16 MB instead of the 2 MB default) keeps the build phase
+   of an operation out of the promotion treadmill, and a higher
+   space_overhead trades heap slack for fewer major slices.  In OCaml
+   5.1 [Gc.set] resizes only the calling domain's minor heap: a domain
+   spawned afterwards, a pool helper included, starts at the 2 MB
+   default.  The computed tables are multi-MB arrays, which the runtime
+   gets from malloc, so the tuning also pins glibc's mmap threshold at
+   128 KiB: left dynamic, glibc raises it past the tables' size at their
+   first free and keeps every later freed table in its heap instead of
    returning it to the OS.  Set BDD_GC_TUNE=0 to opt out, or call Gc.set
    after the first Bdd.create to override; existing user settings are
    never lowered. *)
@@ -607,7 +554,6 @@ let create ?(nvars = 0) ?(shared = false) () =
   let rec ff = { uid = 0; var = -1; hi = ff; lo = ff } in
   let rec tt = { uid = 1; var = -1; hi = tt; lo = tt } in
   let rec nil = { uid = -1; var = -1; hi = nil; lo = nil } in
-  let flat = not shared in
   let man =
     {
       ff;
@@ -617,29 +563,20 @@ let create ?(nvars = 0) ?(shared = false) () =
       node_limit = None;
       cache_limit = 2_000_000;
       cache_cap = pow2_le 2_000_000;
-      next_uid = Atomic.make 2;
       unique = ut_make nil (if shared then ut_shared_stripes else 1);
       var_lock = Mutex.create ();
       cache_lock = Mutex.create ();
       var_level = Array.init (max nvars 16) (fun i -> i);
       level_var = Array.init (max nvars 16) (fun i -> i);
       n_vars = nvars;
-      ite_cache = cache_make ~flat "ite" nil;
-      op_cache = cache_make ~flat "op" nil;
-      not_cache = cache_make ~flat "not" nil;
-      exist_cache = cache_make ~flat "exist" nil;
-      andex_cache = cache_make ~flat "andex" nil;
-      constrain_cache = cache_make ~flat "constrain" nil;
-      restrict_cache = cache_make ~flat "restrict" nil;
-      leq_cache = cache_make ~flat "leq" nil;
-      weight_cache = fcache_make ~flat;
-      nodes_made = Atomic.make 0;
-      peak_unique = Atomic.make 0;
-      sc_hits = sc_make ();
-      sc_misses = sc_make ();
-      sc_overwrites = sc_make ();
-      sc_races = sc_make ();
-      sc_inserts = sc_make ();
+      sets = (if shared then [||] else [| node_tables nil |]);
+      next_uid = 2;
+      nodes_made = 0;
+      peak_unique = 0;
+      a_next_uid = Atomic.make 2;
+      a_live = Atomic.make 0;
+      a_nodes_made = Atomic.make 0;
+      a_peak_unique = Atomic.make 0;
       ut_grows = Atomic.make 0;
       ut_locks = Atomic.make 0;
       stripe_waits = Atomic.make 0;
@@ -749,10 +686,17 @@ let limit_hit man limit =
   | Some obs -> obs (Limit_hit { limit }));
   raise Node_limit
 
-(* Monotone CAS-max, for peak_unique. *)
+(* Monotone CAS-max, for a shared manager's peak_unique. *)
 let rec atomic_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
+
+let unique_size man =
+  if man.shared then Atomic.get man.a_live
+  else (Array.unsafe_get man.unique.u_stripes 0).st_count
+
+let nodes_made man =
+  if man.shared then Atomic.get man.a_nodes_made else man.nodes_made
 
 let grow_event man =
   Atomic.incr man.ut_grows;
@@ -761,20 +705,15 @@ let grow_event man =
   | Some obs ->
       obs
         (Unique_grow
-           {
-             capacity = ut_capacity man.unique;
-             live = Atomic.get man.unique.u_total;
-           })
+           { capacity = ut_capacity man.unique; live = unique_size man })
 
-(* Bookkeeping after a fresh node is published; runs outside any stripe
-   lock.  One countdown per fresh node feeds both the cooperative tick
-   hook and the observer's progress beat; the decrement-and-test is the
-   whole disabled-path cost.  The countdown is a plain mutable field —
-   concurrent decrements can lose a step, which only shifts when the hook
-   fires, never whether it keeps firing. *)
+(* Bookkeeping after a fresh node is published and counted; runs outside
+   any stripe lock.  One countdown per fresh node feeds both the
+   cooperative tick hook and the observer's progress beat; the
+   decrement-and-test is the whole disabled-path cost.  The countdown is
+   a plain mutable field — concurrent decrements can lose a step, which
+   only shifts when the hook fires, never whether it keeps firing. *)
 let node_made man =
-  Atomic.incr man.nodes_made;
-  atomic_max man.peak_unique (Atomic.get man.unique.u_total);
   man.tick_countdown <- man.tick_countdown - 1;
   if man.tick_countdown <= 0 then begin
     man.tick_countdown <- tick_period;
@@ -783,10 +722,7 @@ let node_made man =
     | Some obs ->
         obs
           (Progress
-             {
-               nodes_made = Atomic.get man.nodes_made;
-               unique_size = Atomic.get man.unique.u_total;
-             }));
+             { nodes_made = nodes_made man; unique_size = unique_size man }));
     fault_point man;
     match man.tick with None -> () | Some fn -> fn ()
   end
@@ -814,7 +750,7 @@ let mk_shared man st h var hi lo =
   end
   else begin
     (match man.node_limit with
-    | Some limit when Atomic.get u.u_total >= limit ->
+    | Some limit when Atomic.get man.a_live >= limit ->
         Mutex.unlock st.st_lock;
         limit_hit man limit
     | Some _ | None -> ());
@@ -825,10 +761,10 @@ let mk_shared man st h var hi lo =
       Mutex.unlock st.st_lock;
       table_full_hit man
     end;
-    let n = { uid = Atomic.fetch_and_add man.next_uid 1; var; hi; lo } in
+    let n = { uid = Atomic.fetch_and_add man.a_next_uid 1; var; hi; lo } in
     Array.unsafe_set arr (lnot s) n;
     st.st_count <- st.st_count + 1;
-    Atomic.incr u.u_total;
+    Atomic.incr man.a_live;
     let grew =
       if 3 * st.st_count > 2 * (mask + 1) then begin
         stripe_grow man.nil u.u_shift st;
@@ -838,6 +774,8 @@ let mk_shared man st h var hi lo =
     in
     Mutex.unlock st.st_lock;
     if grew then grow_event man;
+    Atomic.incr man.a_nodes_made;
+    atomic_max man.a_peak_unique (Atomic.get man.a_live);
     node_made man;
     n
   end
@@ -859,23 +797,27 @@ let mk_raw man var hi lo =
     if s >= 0 then Array.unsafe_get arr s
     else if man.shared then mk_shared man st h var hi lo
     else begin
-      (* private manager: single stripe, single domain, no locking; the
-         limit check against the exact count keeps Node_limit precise *)
+      (* private manager: single stripe, single domain, no locking and no
+         atomics; the limit check against the exact count keeps
+         Node_limit precise *)
       (match man.node_limit with
-      | Some limit when Atomic.get u.u_total >= limit -> limit_hit man limit
+      | Some limit when st.st_count >= limit -> limit_hit man limit
       | Some _ | None -> ());
       if
         3 * (st.st_count + 1) > 2 * (mask + 1)
         && 2 * (mask + 1) > man.stripe_cap
       then table_full_hit man;
-      let n = { uid = Atomic.fetch_and_add man.next_uid 1; var; hi; lo } in
+      let n = { uid = man.next_uid; var; hi; lo } in
+      man.next_uid <- n.uid + 1;
       Array.unsafe_set arr (lnot s) n;
-      st.st_count <- st.st_count + 1;
-      Atomic.incr u.u_total;
-      if 3 * st.st_count > 2 * (mask + 1) then begin
+      let live = st.st_count + 1 in
+      st.st_count <- live;
+      if 3 * live > 2 * (mask + 1) then begin
         stripe_grow man.nil u.u_shift st;
         grow_event man
       end;
+      man.nodes_made <- man.nodes_made + 1;
+      if live > man.peak_unique then man.peak_unique <- live;
       node_made man;
       n
     end
@@ -906,177 +848,133 @@ let new_var man = ithvar man man.n_vars
 let[@inline] hi_at man f lv = if level man f = lv then f.hi else f
 let[@inline] lo_at man f lv = if level man f = lv then f.lo else f
 
-(* A cache doubles when its inserts since the last resize reach twice its
-   slots — a cheap churn signal — but never past [cache_cap], so each
-   cache's memory is hard-bounded (CUDD sizes its computed table the same
-   way).  In a shared manager the resize is serialized by [cache_lock]
-   and [due] is re-checked under it, so two domains cannot install
-   competing arrays.  Rare path: the caller has already seen [due ()]. *)
-let grow_cache man name due resize slots =
-  let resized =
-    if man.shared then begin
-      Mutex.lock man.cache_lock;
-      let ok = due () in
-      if ok then resize ();
-      Mutex.unlock man.cache_lock;
-      ok
-    end
-    else begin
-      resize ();
-      true
-    end
-  in
-  if resized then begin
-    (match man.observer with
-    | None -> ()
-    | Some obs -> obs (Cache_resize { cache = name; capacity = slots () }));
-    fault_point man
-  end
+(* The calling domain's table set.  A private manager has one; a shared
+   manager registers one for a domain, under [cache_lock], the first time
+   that domain uses it.  The recursions look their set up once per public
+   operation, and a forked task once on the domain that runs it, and pass
+   it down, so a probe makes no lookup and no C call.  Only the set's
+   domain writes it in place; a set is never replaced, so a racy read of
+   a slot sees [vacant] (and retries under the lock) or the set itself. *)
+let register man slot =
+  Mutex.protect man.cache_lock (fun () ->
+      let sets = man.sets in
+      if slot < Array.length sets && sets.(slot) != vacant then sets.(slot)
+      else begin
+        let cs = node_tables man.nil in
+        let n = Array.length sets in
+        let sets =
+          if slot < n then sets
+          else Array.append sets (Array.make (slot + 1 - n) vacant)
+        in
+        sets.(slot) <- cs;
+        man.sets <- sets;
+        cs
+      end)
 
-let[@inline] cache_due man c =
-  let cap = cache_slots c in
-  c.c_inserts >= 2 * cap && 2 * cap <= man.cache_cap
+let tables man =
+  if not man.shared then Array.unsafe_get man.sets 0
+  else
+    let slot = domain_slot () in
+    let sets = man.sets in
+    if slot < Array.length sets && Array.unsafe_get sets slot != vacant then
+      Array.unsafe_get sets slot
+    else register man slot
 
-let[@inline] fcache_due man c =
-  let cap = fcache_slots c in
-  c.f_inserts >= 2 * cap && 2 * cap <= man.cache_cap
+(* A table doubles when its inserts since creation reach twice its slots
+   — a cheap churn signal — but never past [cache_cap], so each table's
+   memory is hard-bounded (CUDD sizes its computed table the same way).
+   The doubled table replaces the old one, contents dropped, and the
+   insert re-reads its table afterwards: the fault hook may have wiped
+   the set. *)
+let[@inline] table_due man c =
+  let cap = Array.length c.vals in
+  c.stores >= 2 * cap && 2 * cap <= man.cache_cap
 
-let boxed_find man c a b k =
-  let arr = c.c_slots in
-  let e = Array.unsafe_get arr (mix3 a b k land (Array.length arr - 1)) in
-  if e.q1 = a && e.q2 = b && e.q3 = k then begin
-    sc_add man.sc_hits (sc_slot ());
-    e.cv
+let table_grown man name capacity =
+  (match man.observer with
+  | None -> ()
+  | Some obs -> obs (Cache_resize { cache = name; capacity }));
+  fault_point man
+
+(* Computed-table probe with hit/miss accounting for {!stats}: one
+   masked slot, three int compares, no allocation and no C call.  Returns
+   [man.nil] on a miss; callers test [r.uid >= 0] (every real node has a
+   non-negative uid). *)
+let[@inline] cache_find man cs i a b k =
+  let c = Array.unsafe_get cs.tabs i in
+  let keys = c.keys and vals = c.vals in
+  let s = mix3 a b k land (Array.length vals - 1) in
+  if
+    Array.unsafe_get keys (3 * s) = a
+    && Array.unsafe_get keys ((3 * s) + 1) = b
+    && Array.unsafe_get keys ((3 * s) + 2) = k
+  then begin
+    cs.hits <- cs.hits + 1;
+    Array.unsafe_get vals s
   end
   else begin
-    sc_add man.sc_misses (sc_slot ());
+    cs.misses <- cs.misses + 1;
     man.nil
   end
 
-(* Computed-cache probe with hit/miss accounting for {!stats}: one masked
-   slot, three int compares, no allocation and, on a private manager, no
-   C call.  Returns [man.nil] on a miss; callers test [r.uid >= 0] (every
-   real node has a non-negative uid). *)
-let[@inline] cache_find man c a b k =
-  if c.c_flat then begin
-    let keys = c.c_keys and vals = c.c_vals in
-    let i = mix3 a b k land (Array.length vals - 1) in
-    if
-      Array.unsafe_get keys (3 * i) = a
-      && Array.unsafe_get keys ((3 * i) + 1) = b
-      && Array.unsafe_get keys ((3 * i) + 2) = k
-    then begin
-      sc_add man.sc_hits 0;
-      Array.unsafe_get vals i
-    end
-    else begin
-      sc_add man.sc_misses 0;
-      man.nil
-    end
-  end
-  else boxed_find man c a b k
-
-(* Boxed insertion: replace the slot's entry with one freshly built
-   immutable entry — a single racy pointer store, wrong-answer-free by
-   the argument at the type. *)
-let boxed_add man c a b k v =
-  let arr = c.c_slots in
-  let i = mix3 a b k land (Array.length arr - 1) in
-  let old = Array.unsafe_get arr i in
-  let slot = sc_slot () in
-  if old.q1 < 0 then c.c_filled <- c.c_filled + 1
-  else begin
-    sc_add man.sc_overwrites slot;
-    (* same key re-stored: two domains computed the same subproblem *)
-    if old.q1 = a && old.q2 = b && old.q3 = k then sc_add man.sc_races slot
+(* Lossy insertion: overwrite the slot in place, four words and no
+   allocation. *)
+let cache_add man cs i a b k v =
+  let c = Array.unsafe_get cs.tabs i in
+  if table_due man c then begin
+    let cap = 2 * Array.length c.vals in
+    cs.tabs.(i) <- table_make 3 cap man.nil;
+    table_grown man tab_names.(i) cap
   end;
-  Array.unsafe_set arr i { q1 = a; q2 = b; q3 = k; cv = v };
-  c.c_inserts <- c.c_inserts + 1;
-  sc_add man.sc_inserts slot
+  let c = Array.unsafe_get cs.tabs i in
+  let keys = c.keys and vals = c.vals in
+  let s = mix3 a b k land (Array.length vals - 1) in
+  let j = 3 * s in
+  let q1 = Array.unsafe_get keys j in
+  if q1 < 0 then c.filled <- c.filled + 1
+  else begin
+    cs.overwrites <- cs.overwrites + 1;
+    if
+      q1 = a
+      && Array.unsafe_get keys (j + 1) = b
+      && Array.unsafe_get keys (j + 2) = k
+    then cs.races <- cs.races + 1
+  end;
+  Array.unsafe_set keys j a;
+  Array.unsafe_set keys (j + 1) b;
+  Array.unsafe_set keys (j + 2) k;
+  Array.unsafe_set vals s v;
+  c.stores <- c.stores + 1;
+  cs.inserts <- cs.inserts + 1
 
-(* Lossy insertion: overwrite whatever occupies the slot.  A flat slot is
-   overwritten in place, four words and no allocation. *)
-let cache_add man c a b k v =
-  if cache_due man c then
-    grow_cache man c.c_name
-      (fun () -> cache_due man c)
-      (fun () -> cache_resize c (2 * cache_slots c))
-      (fun () -> cache_slots c);
-  if c.c_flat then begin
-    let keys = c.c_keys and vals = c.c_vals in
-    let i = mix3 a b k land (Array.length vals - 1) in
-    let j = 3 * i in
-    let q1 = Array.unsafe_get keys j in
-    if q1 < 0 then c.c_filled <- c.c_filled + 1
-    else begin
-      sc_add man.sc_overwrites 0;
-      if
-        q1 = a
-        && Array.unsafe_get keys (j + 1) = b
-        && Array.unsafe_get keys (j + 2) = k
-      then sc_add man.sc_races 0
-    end;
-    Array.unsafe_set keys j a;
-    Array.unsafe_set keys (j + 1) b;
-    Array.unsafe_set keys (j + 2) k;
-    Array.unsafe_set vals i v;
-    c.c_inserts <- c.c_inserts + 1;
-    sc_add man.sc_inserts 0
-  end
-  else boxed_add man c a b k v
-
-let[@inline] fcache_find man c k =
-  if c.f_flat then begin
-    let keys = c.f_keys in
-    let i = mix3 k 0 0 land (Array.length keys - 1) in
-    if Array.unsafe_get keys i = k then begin
-      sc_add man.sc_hits 0;
-      Array.unsafe_get c.f_vals i
-    end
-    else begin
-      sc_add man.sc_misses 0;
-      Float.nan
-    end
+let[@inline] weight_find cs k =
+  let c = cs.weights in
+  let keys = c.keys in
+  let s = mix3 k 0 0 land (Array.length keys - 1) in
+  if Array.unsafe_get keys s = k then begin
+    cs.hits <- cs.hits + 1;
+    Array.unsafe_get c.vals s
   end
   else begin
-    let arr = c.f_slots in
-    let e = Array.unsafe_get arr (mix3 k 0 0 land (Array.length arr - 1)) in
-    if e.fq = k then begin
-      sc_add man.sc_hits (sc_slot ());
-      e.fv
-    end
-    else begin
-      sc_add man.sc_misses (sc_slot ());
-      Float.nan
-    end
+    cs.misses <- cs.misses + 1;
+    Float.nan
   end
 
-let fcache_add man c k v =
-  if fcache_due man c then
-    grow_cache man "weight"
-      (fun () -> fcache_due man c)
-      (fun () -> fcache_resize c (2 * fcache_slots c))
-      (fun () -> fcache_slots c);
-  if c.f_flat then begin
-    let keys = c.f_keys in
-    let i = mix3 k 0 0 land (Array.length keys - 1) in
-    if Array.unsafe_get keys i < 0 then c.f_filled <- c.f_filled + 1
-    else sc_add man.sc_overwrites 0;
-    Array.unsafe_set keys i k;
-    Array.unsafe_set c.f_vals i v;
-    c.f_inserts <- c.f_inserts + 1;
-    sc_add man.sc_inserts 0
-  end
-  else begin
-    let arr = c.f_slots in
-    let i = mix3 k 0 0 land (Array.length arr - 1) in
-    let slot = sc_slot () in
-    if (Array.unsafe_get arr i).fq < 0 then c.f_filled <- c.f_filled + 1
-    else sc_add man.sc_overwrites slot;
-    Array.unsafe_set arr i { fq = k; fv = v };
-    c.f_inserts <- c.f_inserts + 1;
-    sc_add man.sc_inserts slot
-  end
+let weight_add man cs k v =
+  if table_due man cs.weights then begin
+    let cap = 2 * Array.length cs.weights.vals in
+    cs.weights <- table_make 1 cap 0.;
+    table_grown man "weight" cap
+  end;
+  let c = cs.weights in
+  let keys = c.keys in
+  let s = mix3 k 0 0 land (Array.length keys - 1) in
+  if Array.unsafe_get keys s < 0 then c.filled <- c.filled + 1
+  else cs.overwrites <- cs.overwrites + 1;
+  Array.unsafe_set keys s k;
+  Array.unsafe_set c.vals s v;
+  c.stores <- c.stores + 1;
+  cs.inserts <- cs.inserts + 1
 
 (* ------------------------------------------------------------------ *)
 (* ITE and the binary connectives                                     *)
@@ -1088,8 +986,9 @@ let fcache_add man c k v =
    count per operation is O(2^budget) regardless of operand size.  A few
    levels beyond log2(workers) keeps every worker fed even when the
    cofactor tree is skewed, without drowning the deques in tiny tasks.
-   Once the budget is spent, and always without a pool, the recursion is
-   the sequential kernel, node for node: same caches, same unique table,
+   A forked task probes the table set of the domain that runs it.  Once
+   the budget is spent, and always without a pool, the recursion is the
+   sequential kernel, node for node: same tables, same unique table,
    same evaluation order, nothing allocated beyond it.  Results are
    bit-identical either way: both build canonical nodes in the same
    hash-consing table, so the schedule can only change which domain
@@ -1120,15 +1019,15 @@ let fork_join pool go1 go0 =
   let r1 = Tpool.join pool fut in
   (r1, r0)
 
-let rec ite_rec man pool budget f g h =
+let rec ite_rec man cs pool budget f g h =
   if is_true f then g
   else if is_false f then h
   else if g == h then g
   else if is_true g && is_false h then f
-  else if f == g then ite_rec man pool budget f man.tt h
-  else if f == h then ite_rec man pool budget f g man.ff
+  else if f == g then ite_rec man cs pool budget f man.tt h
+  else if f == h then ite_rec man cs pool budget f g man.ff
   else
-    let r = cache_find man man.ite_cache f.uid g.uid h.uid in
+    let r = cache_find man cs tab_ite f.uid g.uid h.uid in
     if r.uid >= 0 then r
     else begin
       let lv =
@@ -1142,48 +1041,50 @@ let rec ite_rec man pool budget f g h =
             let r1, r0 =
               fork_join p
                 (fun () ->
-                  ite_rec man pool budget (hi_at man f lv) (hi_at man g lv)
-                    (hi_at man h lv))
+                  ite_rec man (tables man) pool budget (hi_at man f lv)
+                    (hi_at man g lv) (hi_at man h lv))
                 (fun () ->
-                  ite_rec man pool budget (lo_at man f lv) (lo_at man g lv)
-                    (lo_at man h lv))
+                  ite_rec man cs pool budget (lo_at man f lv)
+                    (lo_at man g lv) (lo_at man h lv))
             in
             mk_raw man v r1 r0
         | _ ->
             let r1 =
-              ite_rec man pool budget (hi_at man f lv) (hi_at man g lv)
+              ite_rec man cs pool budget (hi_at man f lv) (hi_at man g lv)
                 (hi_at man h lv)
             in
             let r0 =
-              ite_rec man pool budget (lo_at man f lv) (lo_at man g lv)
+              ite_rec man cs pool budget (lo_at man f lv) (lo_at man g lv)
                 (lo_at man h lv)
             in
             mk_raw man v r1 r0
       in
-      cache_add man man.ite_cache f.uid g.uid h.uid r;
+      cache_add man cs tab_ite f.uid g.uid h.uid r;
       r
     end
 
 let ite ?pool man f g h =
-  ite_rec man pool (fork_budget "Bdd.ite" man pool) f g h
+  ite_rec man (tables man) pool (fork_budget "Bdd.ite" man pool) f g h
 
-let rec bnot man f =
+let rec not_rec man cs f =
   if is_true f then man.ff
   else if is_false f then man.tt
   else
-    let r = cache_find man man.not_cache f.uid 0 0 in
+    let r = cache_find man cs tab_not f.uid 0 0 in
     if r.uid >= 0 then r
     else begin
-      let r = mk_raw man f.var (bnot man f.hi) (bnot man f.lo) in
+      let r = mk_raw man f.var (not_rec man cs f.hi) (not_rec man cs f.lo) in
       (* negation is an involution: cache both directions *)
-      cache_add man man.not_cache f.uid 0 0 r;
-      cache_add man man.not_cache r.uid 0 0 f;
+      cache_add man cs tab_not f.uid 0 0 r;
+      cache_add man cs tab_not r.uid 0 0 f;
       r
     end
 
+let bnot man f = not_rec man (tables man) f
+
 (* Terminal cases of the binary connectives, dispatched on the tag: the
    result, or [man.nil] when the pair needs a recursion step. *)
-let[@inline] apply_term man tag f g =
+let[@inline] apply_term man cs tag f g =
   if tag = tag_and then
     if is_false f || is_false g then man.ff
     else if is_true f then g
@@ -1199,21 +1100,21 @@ let[@inline] apply_term man tag f g =
   else if f == g then man.ff
   else if is_false f then g
   else if is_false g then f
-  else if is_true f then bnot man g
-  else if is_true g then bnot man f
+  else if is_true f then not_rec man cs g
+  else if is_true g then not_rec man cs f
   else man.nil
 
 (* Binary apply, sharing one tagged cache.  The connectives are
    commutative: [apply_step] gets the pair with the smaller uid first,
    for better cache reuse. *)
-let rec apply man pool budget tag f g =
-  let r = apply_term man tag f g in
+let rec apply man cs pool budget tag f g =
+  let r = apply_term man cs tag f g in
   if r.uid >= 0 then r
-  else if f.uid <= g.uid then apply_step man pool budget tag f g
-  else apply_step man pool budget tag g f
+  else if f.uid <= g.uid then apply_step man cs pool budget tag f g
+  else apply_step man cs pool budget tag g f
 
-and apply_step man pool budget tag f g =
-  let r = cache_find man man.op_cache tag f.uid g.uid in
+and apply_step man cs pool budget tag f g =
+  let r = cache_find man cs tab_op tag f.uid g.uid in
   if r.uid >= 0 then r
   else begin
     let lv = Int.min (level man f) (level man g) in
@@ -1225,39 +1126,45 @@ and apply_step man pool budget tag f g =
           let r1, r0 =
             fork_join p
               (fun () ->
-                apply man pool budget tag (hi_at man f lv) (hi_at man g lv))
+                apply man (tables man) pool budget tag (hi_at man f lv)
+                  (hi_at man g lv))
               (fun () ->
-                apply man pool budget tag (lo_at man f lv) (lo_at man g lv))
+                apply man cs pool budget tag (lo_at man f lv)
+                  (lo_at man g lv))
           in
           mk_raw man v r1 r0
       | _ ->
           let r1 =
-            apply man pool budget tag (hi_at man f lv) (hi_at man g lv)
+            apply man cs pool budget tag (hi_at man f lv) (hi_at man g lv)
           in
           let r0 =
-            apply man pool budget tag (lo_at man f lv) (lo_at man g lv)
+            apply man cs pool budget tag (lo_at man f lv) (lo_at man g lv)
           in
           mk_raw man v r1 r0
     in
-    cache_add man man.op_cache tag f.uid g.uid r;
+    cache_add man cs tab_op tag f.uid g.uid r;
     r
   end
 
+(* The sequential connectives the recursions call inside. *)
+let and_rec man cs f g = apply man cs None 0 tag_and f g
+let or_rec man cs f g = apply man cs None 0 tag_or f g
+
 let band ?pool man f g =
-  apply man pool (fork_budget "Bdd.band" man pool) tag_and f g
+  apply man (tables man) pool (fork_budget "Bdd.band" man pool) tag_and f g
 
 let bor ?pool man f g =
-  apply man pool (fork_budget "Bdd.bor" man pool) tag_or f g
+  apply man (tables man) pool (fork_budget "Bdd.bor" man pool) tag_or f g
 
 let bxor ?pool man f g =
-  apply man pool (fork_budget "Bdd.bxor" man pool) tag_xor f g
+  apply man (tables man) pool (fork_budget "Bdd.bxor" man pool) tag_xor f g
 
 let bnand man f g = bnot man (band man f g)
 let bnor man f g = bnot man (bor man f g)
 let biff man f g = bnot man (bxor man f g)
 let bimp man f g = ite man f g man.tt
 let bdiff ?pool man f g =
-  ite_rec man pool (fork_budget "Bdd.bdiff" man pool) g man.ff f
+  ite_rec man (tables man) pool (fork_budget "Bdd.bdiff" man pool) g man.ff f
 
 let conj man fs = List.fold_left (band man) man.tt fs
 let disj man fs = List.fold_left (bor man) man.ff fs
@@ -1281,22 +1188,24 @@ let intersects man f g =
   in
   go f g
 
-let rec leq man f g =
+let rec leq_rec man cs f g =
   if f == g || is_false f || is_true g then true
   else if is_true f || is_false g then false
   else
     (* boolean result, stored as the tt/ff node *)
-    let r = cache_find man man.leq_cache f.uid g.uid 0 in
+    let r = cache_find man cs tab_leq f.uid g.uid 0 in
     if r.uid >= 0 then is_true r
     else begin
       let lv = Int.min (level man f) (level man g) in
       let r =
-        leq man (hi_at man f lv) (hi_at man g lv)
-        && leq man (lo_at man f lv) (lo_at man g lv)
+        leq_rec man cs (hi_at man f lv) (hi_at man g lv)
+        && leq_rec man cs (lo_at man f lv) (lo_at man g lv)
       in
-      cache_add man man.leq_cache f.uid g.uid 0 (if r then man.tt else man.ff);
+      cache_add man cs tab_leq f.uid g.uid 0 (if r then man.tt else man.ff);
       r
     end
+
+let leq man f g = leq_rec man (tables man) f g
 
 (* ------------------------------------------------------------------ *)
 (* Cofactors, composition                                             *)
@@ -1370,46 +1279,53 @@ let cube_of_literals man lits =
       if b then mk_raw man v acc man.ff else mk_raw man v man.ff acc)
     man.tt lits
 
-let rec exists man ~vars f =
+let rec exists_rec man cs vars f =
   if is_const f || is_true vars then f
   else if is_false vars then invalid_arg "Bdd.exists: not a cube"
   else
     let lf = level man f and lc = level man vars in
-    if lc < lf then exists man ~vars:vars.hi f
+    if lc < lf then exists_rec man cs vars.hi f
     else
-      let r = cache_find man man.exist_cache f.uid vars.uid 0 in
+      let r = cache_find man cs tab_exist f.uid vars.uid 0 in
       if r.uid >= 0 then r
       else begin
         let r =
           if lc = lf then
             let vars = vars.hi in
-            bor man (exists man ~vars f.hi) (exists man ~vars f.lo)
-          else mk_raw man f.var (exists man ~vars f.hi) (exists man ~vars f.lo)
+            or_rec man cs (exists_rec man cs vars f.hi)
+              (exists_rec man cs vars f.lo)
+          else
+            mk_raw man f.var (exists_rec man cs vars f.hi)
+              (exists_rec man cs vars f.lo)
         in
-        cache_add man man.exist_cache f.uid vars.uid 0 r;
+        cache_add man cs tab_exist f.uid vars.uid 0 r;
         r
       end
 
-let forall man ~vars f = bnot man (exists man ~vars (bnot man f))
+let exists man ~vars f = exists_rec man (tables man) vars f
+
+let forall man ~vars f =
+  let cs = tables man in
+  not_rec man cs (exists_rec man cs vars (not_rec man cs f))
 
 (* [and_exists_step] gets the pair with the smaller uid first. *)
-let rec and_exists_rec man pool budget vars f g =
+let rec and_exists_rec man cs pool budget vars f g =
   if is_false f || is_false g then man.ff
-  else if is_true vars then band man f g
-  else if is_true f then exists man ~vars g
-  else if is_true g then exists man ~vars f
-  else if f == g then exists man ~vars f
-  else if f.uid <= g.uid then and_exists_step man pool budget vars f g
-  else and_exists_step man pool budget vars g f
+  else if is_true vars then and_rec man cs f g
+  else if is_true f then exists_rec man cs vars g
+  else if is_true g then exists_rec man cs vars f
+  else if f == g then exists_rec man cs vars f
+  else if f.uid <= g.uid then and_exists_step man cs pool budget vars f g
+  else and_exists_step man cs pool budget vars g f
 
-and and_exists_step man pool budget vars f g =
-  let r = cache_find man man.andex_cache f.uid g.uid vars.uid in
+and and_exists_step man cs pool budget vars f g =
+  let r = cache_find man cs tab_andex f.uid g.uid vars.uid in
   if r.uid >= 0 then r
   else begin
     let lf = level man f and lg = level man g and lc = level man vars in
     let lv = Int.min lf lg in
     let r =
-      if lc < lv then and_exists_rec man pool budget vars.hi f g
+      if lc < lv then and_exists_rec man cs pool budget vars.hi f g
       else
         let v = man.level_var.(lv) in
         (* at a quantified level the branches are joined by [bor] *)
@@ -1420,68 +1336,69 @@ and and_exists_step man pool budget vars f g =
             let r1, r0 =
               fork_join p
                 (fun () ->
-                  and_exists_rec man pool budget sub (hi_at man f lv)
-                    (hi_at man g lv))
+                  and_exists_rec man (tables man) pool budget sub
+                    (hi_at man f lv) (hi_at man g lv))
                 (fun () ->
-                  and_exists_rec man pool budget sub (lo_at man f lv)
+                  and_exists_rec man cs pool budget sub (lo_at man f lv)
                     (lo_at man g lv))
             in
-            if lc = lv then bor man r1 r0 else mk_raw man v r1 r0
+            if lc = lv then or_rec man cs r1 r0 else mk_raw man v r1 r0
         | _ ->
             (* lo first, unlike apply and ite: the order in which nodes
                get their uids, and so the kernel counters, rest on it *)
             let r0 =
-              and_exists_rec man pool budget sub (lo_at man f lv)
+              and_exists_rec man cs pool budget sub (lo_at man f lv)
                 (lo_at man g lv)
             in
             let r1 =
-              and_exists_rec man pool budget sub (hi_at man f lv)
+              and_exists_rec man cs pool budget sub (hi_at man f lv)
                 (hi_at man g lv)
             in
-            if lc = lv then bor man r1 r0 else mk_raw man v r1 r0
+            if lc = lv then or_rec man cs r1 r0 else mk_raw man v r1 r0
     in
-    cache_add man man.andex_cache f.uid g.uid vars.uid r;
+    cache_add man cs tab_andex f.uid g.uid vars.uid r;
     r
   end
 
 let and_exists ?pool man ~vars f g =
-  and_exists_rec man pool (fork_budget "Bdd.and_exists" man pool) vars f g
+  let budget = fork_budget "Bdd.and_exists" man pool in
+  and_exists_rec man (tables man) pool budget vars f g
 
 (* ------------------------------------------------------------------ *)
 (* Generalized cofactors                                              *)
 (* ------------------------------------------------------------------ *)
 
-let rec constrain_rec man f c =
+let rec constrain_rec man cs f c =
   if is_true c || is_const f then f
   else if f == c then man.tt
   else
-    let r = cache_find man man.constrain_cache f.uid c.uid 0 in
+    let r = cache_find man cs tab_constrain f.uid c.uid 0 in
     if r.uid >= 0 then r
     else begin
       let lv = Int.min (level man f) (level man c) in
       let v = man.level_var.(lv) in
       let c1 = hi_at man c lv and c0 = lo_at man c lv in
       let r =
-        if is_false c0 then constrain_rec man (hi_at man f lv) c1
-        else if is_false c1 then constrain_rec man (lo_at man f lv) c0
+        if is_false c0 then constrain_rec man cs (hi_at man f lv) c1
+        else if is_false c1 then constrain_rec man cs (lo_at man f lv) c0
         else
           mk_raw man v
-            (constrain_rec man (hi_at man f lv) c1)
-            (constrain_rec man (lo_at man f lv) c0)
+            (constrain_rec man cs (hi_at man f lv) c1)
+            (constrain_rec man cs (lo_at man f lv) c0)
       in
-      cache_add man man.constrain_cache f.uid c.uid 0 r;
+      cache_add man cs tab_constrain f.uid c.uid 0 r;
       r
     end
 
 let constrain man f c =
   if is_false c then invalid_arg "Bdd.constrain: empty care set";
-  constrain_rec man f c
+  constrain_rec man (tables man) f c
 
-let rec restrict_rec man f c =
+let rec restrict_rec man cs f c =
   if is_true c || is_const f then f
   else if f == c then man.tt
   else
-    let r = cache_find man man.restrict_cache f.uid c.uid 0 in
+    let r = cache_find man cs tab_restrict f.uid c.uid 0 in
     if r.uid >= 0 then r
     else begin
       let lf = level man f and lc = level man c in
@@ -1489,23 +1406,23 @@ let rec restrict_rec man f c =
         if lc < lf then
           (* the care set constrains a variable f does not mention:
              quantify it out of c *)
-          restrict_rec man f (bor man c.hi c.lo)
+          restrict_rec man cs f (or_rec man cs c.hi c.lo)
         else
           let c1 = hi_at man c lf and c0 = lo_at man c lf in
-          if is_false c0 then restrict_rec man f.hi c1
-          else if is_false c1 then restrict_rec man f.lo c0
+          if is_false c0 then restrict_rec man cs f.hi c1
+          else if is_false c1 then restrict_rec man cs f.lo c0
           else
             mk_raw man f.var
-              (restrict_rec man f.hi c1)
-              (restrict_rec man f.lo c0)
+              (restrict_rec man cs f.hi c1)
+              (restrict_rec man cs f.lo c0)
       in
-      cache_add man man.restrict_cache f.uid c.uid 0 r;
+      cache_add man cs tab_restrict f.uid c.uid 0 r;
       r
     end
 
 let restrict man f c =
   if is_false c then invalid_arg "Bdd.restrict: empty care set";
-  restrict_rec man f c
+  restrict_rec man (tables man) f c
 
 (* ------------------------------------------------------------------ *)
 (* Counting and analysis                                              *)
@@ -1536,17 +1453,19 @@ let shared_size fs =
 
 let size f = shared_size [ f ]
 
-let rec weight man f =
+let rec weight_rec man cs f =
   if is_false f then 0.
   else if is_true f then 1.
   else
-    let w = fcache_find man man.weight_cache f.uid in
+    let w = weight_find cs f.uid in
     if Float.is_nan w then begin
-      let w = 0.5 *. (weight man f.hi +. weight man f.lo) in
-      fcache_add man man.weight_cache f.uid w;
+      let w = 0.5 *. (weight_rec man cs f.hi +. weight_rec man cs f.lo) in
+      weight_add man cs f.uid w;
       w
     end
     else w
+
+let weight man f = weight_rec man (tables man) f
 
 let count_minterms man f ~nvars = ldexp (weight man f) nvars
 
@@ -1634,15 +1553,40 @@ let squeeze man ~lower ~upper =
 (* Manager maintenance                                                *)
 (* ------------------------------------------------------------------ *)
 
-let caches man =
-  [
-    man.ite_cache; man.op_cache; man.not_cache; man.exist_cache;
-    man.andex_cache; man.constrain_cache; man.restrict_cache; man.leq_cache;
-  ]
+let fold_sets fn acc man =
+  Array.fold_left
+    (fun acc cs -> if cs == vacant then acc else fn acc cs)
+    acc man.sets
 
+let iter_sets fn man = fold_sets (fun () cs -> fn cs) () man
+
+(* Refill a set's tables in place: from its own domain, or quiescent. *)
+let wipe_in_place man cs =
+  Array.iter (fun c -> table_clear c man.nil) cs.tabs;
+  table_clear cs.weights 0.
+
+(* The calling domain's own set is wiped in place.  Every other set gets
+   fresh tables, each installed by one pointer store, so a wipe from the
+   fault hook never writes an array that another domain may be probing
+   or filling. *)
 let clear_caches man =
-  List.iter cache_clear (caches man);
-  fcache_clear man.weight_cache
+  let own =
+    if not man.shared then Array.unsafe_get man.sets 0
+    else
+      let slot = Domain.DLS.get slot_key in
+      if slot >= 0 && slot < Array.length man.sets then man.sets.(slot)
+      else vacant
+  in
+  iter_sets
+    (fun cs ->
+      if cs == own then wipe_in_place man cs
+      else begin
+        Array.iteri
+          (fun i _ -> cs.tabs.(i) <- table_make 3 table_init_cap man.nil)
+          cs.tabs;
+        cs.weights <- table_make 1 table_init_cap 0.
+      end)
+    man
 
 (* Quiescent only: gc rebuilds the stripe arrays in place, so no other
    domain may be running operations on a shared manager during the call
@@ -1651,7 +1595,7 @@ let clear_caches man =
 let gc man ~roots =
   fault_point man;
   let u = man.unique in
-  let before = Atomic.get u.u_total in
+  let before = unique_size man in
   let nstripes = Array.length u.u_stripes in
   let survivors = Array.make nstripes [] in
   let counts = Array.make nstripes 0 in
@@ -1680,8 +1624,8 @@ let gc man ~roots =
       st.st_node <- arr;
       st.st_count <- counts.(s))
     u.u_stripes;
-  Atomic.set u.u_total !total;
-  clear_caches man;
+  if man.shared then Atomic.set man.a_live !total;
+  iter_sets (wipe_in_place man) man;
   let collected = before - !total in
   man.gc_runs <- man.gc_runs + 1;
   man.gc_collected <- man.gc_collected + collected;
@@ -1690,19 +1634,22 @@ let gc man ~roots =
   | Some obs -> obs (Gc { collected; live = !total }));
   collected
 
-let unique_size man = Atomic.get man.unique.u_total
 let set_node_limit man limit = man.node_limit <- limit
 
 let set_cache_limit man n =
   man.cache_limit <- max 1024 n;
   man.cache_cap <- pow2_le man.cache_limit;
-  (* shrink any cache already above the new ceiling *)
-  List.iter
-    (fun c ->
-      if cache_slots c > man.cache_cap then cache_resize c man.cache_cap)
-    (caches man);
-  if fcache_slots man.weight_cache > man.cache_cap then
-    fcache_resize man.weight_cache man.cache_cap
+  (* shrink any table already above the new ceiling *)
+  iter_sets
+    (fun cs ->
+      Array.iteri
+        (fun i c ->
+          if Array.length c.vals > man.cache_cap then
+            cs.tabs.(i) <- table_make 3 man.cache_cap man.nil)
+        cs.tabs;
+      if Array.length cs.weights.vals > man.cache_cap then
+        cs.weights <- table_make 1 man.cache_cap 0.)
+    man
 
 let node_limit man = man.node_limit
 
@@ -1736,29 +1683,32 @@ let stats man =
   let hot, cold, spilled =
     match man.store_stats with None -> (0, 0, 0) | Some fn -> fn ()
   in
-  (* filled counts are maintained racily in a shared manager; clamp so
-     reported entries can never exceed the capacity they sit in *)
-  let filled c = Int.min c.c_filled (cache_slots c) in
-  let wslots = fcache_slots man.weight_cache in
-  let wfilled = Int.min man.weight_cache.f_filled wslots in
-  let cache_entries =
-    List.fold_left (fun acc c -> acc + filled c) wfilled (caches man)
-  and cache_capacity =
-    List.fold_left (fun acc c -> acc + cache_slots c) wslots (caches man)
-  in
+  (* sums over the table sets; a set another domain is filling is read
+     racily, so each table's count is clamped to its slots *)
+  let sum fn = fold_sets (fun acc cs -> acc + fn cs) 0 man in
+  let slots c = Array.length c.vals in
+  let filled c = Int.min c.filled (slots c) in
   [
-    ("nodes_made", Atomic.get man.nodes_made);
-    ("unique_size", Atomic.get man.unique.u_total);
-    ("peak_unique", Atomic.get man.peak_unique);
-    ("cache_hits", sc_read man.sc_hits);
-    ("cache_misses", sc_read man.sc_misses);
-    ("ite_cache", filled man.ite_cache);
-    ("op_cache", filled man.op_cache);
+    ("nodes_made", nodes_made man);
+    ("unique_size", unique_size man);
+    ( "peak_unique",
+      if man.shared then Atomic.get man.a_peak_unique else man.peak_unique );
+    ("cache_hits", sum (fun cs -> cs.hits));
+    ("cache_misses", sum (fun cs -> cs.misses));
+    ("ite_cache", sum (fun cs -> filled cs.tabs.(tab_ite)));
+    ("op_cache", sum (fun cs -> filled cs.tabs.(tab_op)));
     ("n_vars", man.n_vars);
     ("unique_capacity", ut_capacity man.unique);
-    ("cache_entries", cache_entries);
-    ("cache_capacity", cache_capacity);
-    ("cache_overwrites", sc_read man.sc_overwrites);
+    ( "cache_entries",
+      sum (fun cs ->
+          Array.fold_left (fun acc c -> acc + filled c) (filled cs.weights)
+            cs.tabs) );
+    ( "cache_capacity",
+      sum (fun cs ->
+          Array.fold_left (fun acc c -> acc + slots c) (slots cs.weights)
+            cs.tabs) );
+    ("cache_tables", sum (fun _ -> 1));
+    ("cache_overwrites", sum (fun cs -> cs.overwrites));
     ("ut_grows", Atomic.get man.ut_grows);
     ("gc_runs", man.gc_runs);
     ("gc_collected", man.gc_collected);
@@ -1769,8 +1719,8 @@ let stats man =
     ("cas_retries", Atomic.get man.cas_retries);
     ("stripe_waits", Atomic.get man.stripe_waits);
     ("ut_locks", Atomic.get man.ut_locks);
-    ("cache_races", sc_read man.sc_races);
-    ("cache_inserts", sc_read man.sc_inserts);
+    ("cache_races", sum (fun cs -> cs.races));
+    ("cache_inserts", sum (fun cs -> cs.inserts));
     ("ut_full", Atomic.get man.ut_full_hits);
     ("chain_folds", fst (chain_stats man));
     ("chain_mk", snd (chain_stats man));
@@ -1789,7 +1739,8 @@ let reorder man ~order:level_var ~roots =
   (* Old nodes stay valid records but leave the unique table; new nodes are
      built under the new order. *)
   ut_reset man.nil man.unique;
-  clear_caches man;
+  if man.shared then Atomic.set man.a_live 0;
+  iter_sets (wipe_in_place man) man;
   for l = 0 to man.n_vars - 1 do
     man.level_var.(l) <- level_var.(l);
     man.var_level.(level_var.(l)) <- l
@@ -1993,13 +1944,14 @@ type contention = {
 }
 
 let contention (man : man) =
+  let sum fn = fold_sets (fun acc cs -> acc + fn cs) 0 man in
   {
     cas_retries = Atomic.get man.cas_retries;
     stripe_waits = Atomic.get man.stripe_waits;
     ut_locks = Atomic.get man.ut_locks;
-    cache_races = sc_read man.sc_races;
-    cache_inserts = sc_read man.sc_inserts;
-    cache_probes = sc_read man.sc_hits + sc_read man.sc_misses;
+    cache_races = sum (fun cs -> cs.races);
+    cache_inserts = sum (fun cs -> cs.inserts);
+    cache_probes = sum (fun cs -> cs.hits + cs.misses);
   }
 
 module Scratch = struct

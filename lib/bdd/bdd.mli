@@ -36,16 +36,18 @@ val create : ?nvars:int -> ?shared:bool -> unit -> man
 
     [~shared:true] arms the manager for concurrent use from several
     domains (DESIGN.md §Parallel kernel): the unique table is striped
-    with per-stripe insert locks, probes stay lock-free, and the lossy
-    operation caches publish each entry as one immutable record, so
-    they tolerate races (they may lose entries, never return a wrong
-    one).  Hash-consing canonicity — physical equality iff functional
-    equality — holds across domains.  The default private manager skips
-    all locking, keeps its caches in flat arrays that it overwrites in
-    place (a cache miss allocates nothing but the nodes it creates), and
-    must stay confined to one domain at a time.  Either way each cache
-    starts at 32 KB (1,024 flat slots or 4,096 boxed ones) and grows up
-    to {!set_cache_limit}.  {!gc}, {!reorder}, {!clear_caches} and
+    with per-stripe insert locks, probes stay lock-free, and each domain
+    that uses the manager gets a table set of its own (the lossy
+    operation caches, created on the domain's first operation), which
+    only that domain writes.  Hash-consing canonicity — physical
+    equality iff functional equality — holds across domains.  The
+    default private manager skips all locking and atomics, holds one
+    table set, and must stay confined to one domain at a time.  Either
+    way the caches are flat arrays overwritten in place (a cache miss
+    allocates nothing but the nodes it creates); each starts at 32 KB
+    (1,024 slots) and grows up to {!set_cache_limit}, so a shared
+    manager's caches take up to (domains that used it at once) times a
+    private manager's.  {!gc}, {!reorder}, {!clear_caches} and
     {!set_cache_limit} require quiescence even on a shared manager: no
     concurrent operation may be running during the call.
 
@@ -168,17 +170,18 @@ type contention = {
       (** stripe-lock acquisitions that found the lock already held *)
   ut_locks : int;  (** total stripe-lock acquisitions on the insert path *)
   cache_races : int;
-      (** computed-cache overwrites that re-stored the very same key —
-          two domains solved the same subproblem concurrently *)
+      (** computed-cache overwrites that re-stored the very same key.
+          Each domain writes only its own table set, so this counts a
+          domain's own re-stores (the two-way insert of {!bnot}) and
+          reads near 0. *)
   cache_inserts : int;  (** total computed-cache stores *)
   cache_probes : int;  (** total computed-cache probes (hits + misses) *)
 }
 (** Contention counters of the parallel kernel, all cumulative and
     monotone.  [cache_races <= cache_inserts] and
     [stripe_waits <= ut_locks >= cas_retries] always hold; on a private
-    manager everything except [cache_inserts] and [cache_probes] stays
-    0.  Exported to metrics as the [kernel.*] counters by
-    [Obs.Kernel.attach]. *)
+    manager the three unique-table counters stay 0.  Exported to metrics
+    as the [kernel.*] counters by [Obs.Kernel.attach]. *)
 
 val contention : man -> contention
 
@@ -306,7 +309,11 @@ end
 (** {1 Manager maintenance} *)
 
 val clear_caches : man -> unit
-(** Drop all operation caches (kept results remain valid). *)
+(** Drop all operation caches (kept results remain valid).  The calling
+    domain's table set is refilled in place; on a shared manager every
+    other domain's set gets fresh tables, so the call never writes an
+    array another domain may be probing, which is what lets a fault hook
+    (see {!set_fault_hook}) wipe the caches mid-operation. *)
 
 val gc : man -> roots:t list -> int
 (** Remove from the unique table every node not reachable from [roots] and
@@ -350,10 +357,10 @@ val ut_full_hits : man -> int
 (** Times {!Table_full} has been raised by this manager. *)
 
 val set_cache_limit : man -> int -> unit
-(** Capacity bound on each computed cache (default 2M entries).  The
-    caches are lossy direct-mapped arrays in the style of CUDD's computed
-    table: a colliding insert overwrites, so memory is hard-bounded and a
-    lost entry only costs recomputation.  Caches start small and double as
+(** Capacity bound on each computed cache of each table set (default 2M
+    entries).  The caches are lossy direct-mapped arrays in the style of
+    CUDD's computed table: a colliding insert overwrites, so memory is
+    hard-bounded and a lost entry only costs recomputation.  Caches start small and double as
     traffic warrants, never past the largest power of two within the
     limit; lowering the limit shrinks them immediately (dropping their
     contents — results already returned stay valid). *)
@@ -372,10 +379,12 @@ val stats : man -> (string * int) list
     [peak_unique], [cache_hits], [cache_misses] (cumulative over every
     computed cache; monotone within a manager's lifetime), [ite_cache] and
     [op_cache] (occupied slots), [n_vars], [unique_capacity] (slots summed
-    over the unique-table stripes), [cache_entries] and [cache_capacity] (occupied
-    and total slots summed over all computed caches — [cache_entries]
-    never exceeds [cache_capacity], which {!set_cache_limit} bounds),
-    [cache_overwrites] (computed-cache inserts that evicted a prior
+    over the unique-table stripes), [cache_entries] and [cache_capacity]
+    (occupied and total slots summed over all computed caches of every
+    table set — [cache_entries] never exceeds [cache_capacity], which
+    {!set_cache_limit} bounds per set), [cache_tables] (table sets: 1
+    on a private manager, one per domain slot that has used a shared
+    one), [cache_overwrites] (computed-cache inserts that evicted a prior
     entry), [ut_grows] (unique-table stripe doublings), [gc_runs] and
     [gc_collected] (cumulative over {!gc} calls), [node_limit_hits]
     (times {!Node_limit} was raised), the tiered-store trio

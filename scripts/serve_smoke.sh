@@ -8,8 +8,13 @@
 # structurally validated, and the server must drain cleanly on SIGTERM
 # (exit 0).
 #
-# Phase 2 — chaos: the same server with seeded fault injection armed and a
-# per-request node budget.  Injected crashes must surface as Error
+# Phase 2 — pooled kernel: a 2-worker server whose sessions run on shared
+# managers with a 2-domain kernel pool (--par-jobs 2), so a session's
+# worker domain and a pool helper probe one manager's tables.  The same
+# oracle-checked load generator, then a clean SIGTERM drain (exit 0).
+#
+# Phase 3 — chaos: phase 1's server with seeded fault injection armed
+# and a per-request node budget.  Injected crashes must surface as Error
 # replies or Degraded certificates, never as a server exit: the loadgen
 # (--expect-faults) still requires zero wrong replies, the drain summary
 # must show faults were actually injected, and SIGTERM must still exit 0.
@@ -71,7 +76,18 @@ cat "$SMOKE/serve_phase1.log"
 "$OBS_CHECK" --metrics "$SMOKE/serve_metrics.json" \
     --trace "$SMOKE/serve_trace.json" --min-tracks 4
 
-echo "== phase 2: chaos (seeded fault injection) =="
+echo "== phase 2: pooled kernel (--par-jobs 2) =="
+"$SERVE" --socket "$SMOKE/serve_par.sock" --workers 2 --par-jobs 2 \
+    --queue-depth 64 > "$SMOKE/serve_par.log" 2>&1 &
+PAR_PID=$!
+wait_for_socket "$SMOKE/serve_par.sock"
+
+"$LOADGEN" --socket "$SMOKE/serve_par.sock" --smoke --seed 9
+
+terminate "$PAR_PID" "pooled server"
+cat "$SMOKE/serve_par.log"
+
+echo "== phase 3: chaos (seeded fault injection) =="
 "$SERVE" --socket "$SMOKE/serve_chaos.sock" --workers 4 --queue-depth 64 \
     --request-node-budget 2000 \
     --faults 'seed=11,node_limit=0.01,cache_wipe=0.01,abort=0.005,job_crash=0.02' \

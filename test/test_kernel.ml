@@ -1,16 +1,16 @@
 (* Kernel memory-subsystem tests: the packed open-addressing unique table
-   and the lossy direct-mapped computed caches.
+   and the lossy direct-mapped computed tables.
 
    Correctness is re-proven against the truth-table oracle with the
    smallest legal [cache_limit] (the 1024-slot floor), so direct-mapped
-   collisions and overwrites actually happen during the properties, in
-   both slot layouts: flat tables on a private manager, boxed entries on
-   a [~shared:true] one.  The bookkeeping invariants are checked
-   explicitly: caches stay within their bound under a long random
-   workload, a miss allocates nothing on a private manager, [Bdd.gc]
-   releases what the tables held, [Node_limit] fires at the exact count,
-   and the [Bdd.stats] counters are monotone and agree across [--jobs]
-   values. *)
+   collisions and overwrites actually happen during the properties, on a
+   private manager and on a [~shared:true] one.  The bookkeeping
+   invariants are checked explicitly: tables stay within their bound
+   under a long random workload, a miss allocates nothing on either kind
+   of manager, [Bdd.gc] releases what any domain's tables held, a shared
+   manager keeps one table set per live domain while domains come and
+   go, [Node_limit] fires at the exact count, and the [Bdd.stats]
+   counters are monotone and agree across [--jobs] values. *)
 
 let nvars = 6
 let arb = Tgen.arbitrary_expr ~nvars ~depth:6
@@ -18,16 +18,16 @@ let arb = Tgen.arbitrary_expr ~nvars ~depth:6
 let qtest ?(count = 300) name prop_arb prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name prop_arb prop)
 
-(* A manager whose computed caches are clamped to the 1024-slot floor:
-   everything built through it runs under heavy overwrite pressure.
-   [~shared] picks the slot layout; no pool is passed, so a shared
-   manager runs the sequential kernel on its boxed entries. *)
+(* A manager whose computed tables are clamped to the 1024-slot floor:
+   everything built through it runs under heavy overwrite pressure.  No
+   pool is passed, so a shared manager runs the sequential kernel on the
+   calling domain's table set. *)
 let tiny_man ~shared =
   let man = Bdd.create ~nvars ~shared () in
   Bdd.set_cache_limit man 1;
   man
 
-(* The private layout keeps the properties' original names. *)
+(* The private runs keep the properties' original names. *)
 let layout_name ~shared name = if shared then "shared: " ^ name else name
 
 let setup_tiny ~shared e =
@@ -175,14 +175,15 @@ let test_cache_bound ~shared () =
 (* The miss path allocates nothing                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* On a private manager a cache miss allocates nothing but the nodes it
-   creates.  Every node the four operations need exists after their first
-   run; once the caches are cleared, the second run misses all over again
-   and finds each node in the unique table, so the minor heap must not
-   move.  (bench/micro.exe's hit_band and hit_mk probes cover the hit
-   path.) *)
-let test_miss_path_allocates_nothing () =
-  let man = Bdd.create () in
+(* A cache miss allocates nothing but the nodes it creates, on a shared
+   manager as on a private one.  Every node the four operations need
+   exists after their first run, which also registers the calling
+   domain's table set on a shared manager; once the tables are cleared,
+   the second run misses all over again and finds each node in the
+   unique table, so the minor heap must not move.  (bench/micro.exe's
+   hit_band and hit_mk probes cover the hit path.) *)
+let test_miss_path_allocates_nothing ~shared () =
+  let man = Bdd.create ~shared () in
   let c = Compile.compile ~man (Generate.multiplier ~bits:7) in
   let out i = snd (List.nth c.Compile.output_fns i) in
   let f = out 5 and g = out 6 and h = out 7 in
@@ -221,24 +222,80 @@ let[@inline never] weak_band man f g =
   Weak.set w 0 (Some (Bdd.band man f g));
   w
 
-(* A flat table keeps its results in an array of their own, which
-   outlives every key: a clear that reset only the keys would pin dead
-   nodes.  A gc that keeps only f and g must let their conjunction go
-   while the manager, and so its tables, stays live. *)
-let test_gc_releases ~shared () =
+(* A table keeps its results in an array of their own, which outlives
+   every key: a clear that reset only the keys would pin dead nodes.  A gc
+   that keeps only f and g must let their conjunction go while the
+   manager, and so its tables, stays live.  [~second_domain] computes the
+   conjunction on a domain of its own, so on a shared manager only that
+   domain's table set holds it, and gc must clear that set too. *)
+let test_gc_releases ?(second_domain = false) ~shared () =
   let man = Bdd.create ~nvars:4 ~shared () in
   let f = Bdd.bor man (Bdd.ithvar man 0) (Bdd.ithvar man 2)
   and g = Bdd.bor man (Bdd.ithvar man 1) (Bdd.ithvar man 3) in
   ignore (Bdd.gc man ~roots:[ f; g ]);
   let live = Bdd.unique_size man in
-  let w = weak_band man f g in
+  let w =
+    if second_domain then
+      Domain.join (Domain.spawn (fun () -> weak_band man f g))
+    else weak_band man f g
+  in
   Alcotest.(check bool) "the conjunction made nodes" true
     (Bdd.unique_size man > live);
+  if second_domain then
+    Alcotest.(check int) "one table set per domain" 2
+      (stat (Bdd.stats man) "cache_tables");
   ignore (Bdd.gc man ~roots:[ f; g ]);
   Gc.full_major ();
   Alcotest.(check bool) "collected once only the tables reached it" true
     (Option.is_none (Weak.get w 0));
   Alcotest.(check int) "the gc kept f and g" live (Bdd.unique_size man)
+
+(* ------------------------------------------------------------------ *)
+(* Table sets follow the live domains                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A shared manager keeps one table set per domain slot, and a slot is
+   unique among the live domains.  The main domain keeps probing one
+   manager while 100 short-lived domains, spawned and joined one at a
+   time, compute on it too; their domain ids pass 64, where ids taken
+   modulo 64 would put two live domains on one set.  Every result must
+   match the oracle, and the manager must never hold more than two sets:
+   the main domain's, and the one each short-lived domain inherits from
+   the last. *)
+let test_slot_recycling () =
+  let man = tiny_man ~shared:true in
+  let rand = Random.State.make [| 0x5107 |] in
+  let gen = Tgen.expr_gen ~nvars ~depth:5 in
+  let batch () = List.init 4 (fun _ -> QCheck.Gen.generate1 ~rand gen) in
+  let agree es =
+    List.for_all
+      (fun e ->
+        check_same man (Tgen.build_bdd man e) (Tgen.build_oracle nvars e)
+        && check_same man
+             (Bdd.bnot man (Tgen.build_bdd man e))
+             (Oracle.not_ (Tgen.build_oracle nvars e)))
+      es
+  in
+  let top_id = ref 0 and top_tables = ref 0 in
+  for i = 1 to 100 do
+    let theirs = batch () and ours = batch () in
+    let d =
+      Domain.spawn (fun () -> ((Domain.self () :> int), agree theirs))
+    in
+    let ours_ok = agree ours in
+    top_tables := max !top_tables (stat (Bdd.stats man) "cache_tables");
+    let id, theirs_ok = Domain.join d in
+    top_id := max !top_id id;
+    if not (ours_ok && theirs_ok) then
+      Alcotest.failf "round %d: main %b, domain %d %b" i ours_ok id theirs_ok
+  done;
+  top_tables := max !top_tables (stat (Bdd.stats man) "cache_tables");
+  Alcotest.(check bool)
+    (Printf.sprintf "domain ids reached %d" !top_id)
+    true (!top_id >= 64);
+  Alcotest.(check bool)
+    (Printf.sprintf "cache_tables peaked at %d" !top_tables)
+    true (!top_tables <= 2)
 
 (* ------------------------------------------------------------------ *)
 (* Node_limit fires at the exact count                                 *)
@@ -552,11 +609,18 @@ let tests =
       Alcotest.test_case "shared: cache bound under random workload" `Slow
         (test_cache_bound ~shared:true);
       Alcotest.test_case "miss path allocates nothing" `Quick
-        test_miss_path_allocates_nothing;
+        (test_miss_path_allocates_nothing ~shared:false);
+      Alcotest.test_case "shared: miss path allocates nothing" `Quick
+        (test_miss_path_allocates_nothing ~shared:true);
       Alcotest.test_case "gc releases what the tables held" `Quick
         (test_gc_releases ~shared:false);
       Alcotest.test_case "shared: gc releases what the tables held" `Quick
         (test_gc_releases ~shared:true);
+      Alcotest.test_case
+        "shared: gc releases what a second domain's tables held" `Quick
+        (test_gc_releases ~second_domain:true ~shared:true);
+      Alcotest.test_case "shared: table sets follow the live domains" `Quick
+        test_slot_recycling;
       Alcotest.test_case "Table_full ceiling (private table)" `Quick
         (test_table_full ~shared:false);
       Alcotest.test_case "Table_full ceiling (striped table)" `Quick

@@ -1,5 +1,6 @@
 (* Tests for the parallel kernel: the shared (striped) unique table, the
-   race-tolerant caches, and the connectives' ?pool fork/join recursions.
+   per-domain computed-table sets, and the connectives' ?pool fork/join
+   recursions.
 
    The domain counts exercised by the pool-based properties come from
    PAR_TEST_DOMAINS (space- or comma-separated, default "1 2 4") so the
@@ -106,10 +107,11 @@ let engines =
           t );
   ]
 
+let useq_trans man =
+  Trans.build
+    (Compile.compile ~man (Generate.microsequencer ~addr_bits:3 ~stack_depth:2))
+
 let test_bfs_pool () =
-  let build man =
-    Trans.build (Compile.compile ~man (Generate.microsequencer ~addr_bits:3 ~stack_depth:2))
-  in
   List.iter
     (fun (name, run) ->
       let states trans pool =
@@ -117,13 +119,13 @@ let test_bfs_pool () =
         (r.Traversal.states, r.Traversal.reached)
       in
       let man0 = Bdd.create () in
-      let s0, r0 = states (build man0) None in
+      let s0, r0 = states (useq_trans man0) None in
       let want = export man0 r0 in
       List.iter
         (fun d ->
           with_pool d (fun pool ->
               let man = Bdd.create ~shared:(d > 1) () in
-              let s, r = states (build man) (Some pool) in
+              let s, r = states (useq_trans man) (Some pool) in
               Alcotest.(check (float 0.0))
                 (Printf.sprintf "%s states @ %d domains" name d)
                 s0 s;
@@ -132,6 +134,31 @@ let test_bfs_pool () =
                 want (export man r)))
         domain_counts)
     engines
+
+(* Cache wipes from the fault hook land on whichever domain hits the
+   kernel beat, mid-operation, while the other domains probe their own
+   table sets.  Whatever the schedule, a pooled BFS must reach the
+   sequential run's set, byte for byte. *)
+let test_bfs_pool_cache_wipes () =
+  let man0 = Bdd.create () in
+  let want = export man0 (Bfs.run (useq_trans man0)).Traversal.reached in
+  let config = { Resil.Fault.disabled with seed = 5; p_cache_wipe = 0.05 } in
+  List.iter
+    (fun d ->
+      with_pool d (fun pool ->
+          let man = Bdd.create ~shared:true () in
+          let trans = useq_trans man in
+          Resil.Fault.attach ~config man;
+          let wipes = Resil.Fault.injected () in
+          let r = Bfs.run ~pool trans in
+          Alcotest.(check bool)
+            (Printf.sprintf "caches wiped @ %d domains" d)
+            true
+            (Resil.Fault.injected () > wipes);
+          Alcotest.(check string)
+            (Printf.sprintf "reached set under wipes @ %d domains" d)
+            want (export man r.Traversal.reached)))
+    domain_counts
 
 (* --- pooled serve requests vs the sequential handler ------------------- *)
 
@@ -316,6 +343,8 @@ let tests =
             (Tgen.arbitrary_expr ~nvars ~depth:5))
         (fun (a, b) -> prop_par_exist_and a b);
       Alcotest.test_case "Bfs ?pool bit-identical" `Quick test_bfs_pool;
+      Alcotest.test_case "Bfs ?pool bit-identical under cache wipes" `Quick
+        test_bfs_pool_cache_wipes;
       Alcotest.test_case "Handler ?pool replies byte-identical" `Quick
         test_handler_pool;
       Alcotest.test_case "4-domain shared-manager stress" `Quick
